@@ -217,11 +217,14 @@ class IncrementalFingerprint:
 
         Frequency-class keys become strings because JSON objects cannot
         carry integer keys; every value is an exact Python integer, so a
-        round trip through :meth:`from_state_dict` is bit-identical.
+        round trip through :meth:`from_state_dict` is bit-identical —
+        mutation ``version`` included, so a restored session reports the
+        same state version as one that never stopped.
         """
         return {
             "frequencies": {str(j): int(count) for j, count in self._frequencies.items()},
             "num_observations": int(self.num_observations),
+            "version": int(self.version),
         }
 
     @classmethod
@@ -242,6 +245,7 @@ class IncrementalFingerprint:
         tracker.num_observations = int(payload.get("num_observations", 0))
         if tracker.num_observations < 0:
             raise ValidationError("num_observations must be >= 0")
+        tracker.version = int(payload.get("version", 0))
         return tracker
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety

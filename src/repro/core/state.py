@@ -51,6 +51,7 @@ from typing import (
 
 import numpy as np
 
+from repro.common.buffers import AppendArray
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY
 from repro.common.validation import check_int
@@ -697,7 +698,8 @@ class StreamingState:
         #: same histogram restricted to majority-dirty items.
         self._dirty_votes_histogram: Dict[int, int] = {}
         self._switch = IncrementalSwitchState(self.num_items)
-        self._majority_history: List[int] = [0]
+        #: ``c_majority`` after each column (entry 0 = before any column).
+        self._majority_history = AppendArray(np.int64, [0])
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -789,9 +791,11 @@ class StreamingState:
 
     def majority_count_back(self, lookback: int) -> int:
         """``c_majority`` as it was ``lookback`` columns ago."""
-        return self._majority_history[
-            self.num_columns - _resolve_lookback(lookback, self.num_columns)
-        ]
+        return int(
+            self._majority_history.view()[
+                self.num_columns - _resolve_lookback(lookback, self.num_columns)
+            ]
+        )
 
     # ------------------------------------------------------------------ #
     # snapshot codec
@@ -811,7 +815,7 @@ class StreamingState:
             "item_ids": np.asarray(self._item_ids, dtype=np.int64),
             "positive": self._positive.copy(),
             "negative": self._negative.copy(),
-            "majority_history": np.asarray(self._majority_history, dtype=np.int64),
+            "majority_history": self._majority_history.view(),
         }
         switch_arrays, switch_meta = self._switch.to_arrays()
         for key, value in switch_arrays.items():
@@ -864,7 +868,7 @@ class StreamingState:
         state._switch = IncrementalSwitchState.from_arrays(switch_arrays, meta["switch"])
         if state._switch._margin.shape != (state.num_items,):
             raise ValidationError("switch arrays must match the item dimension")
-        history = [int(v) for v in np.asarray(arrays["majority_history"])]
+        history = AppendArray(np.int64, arrays["majority_history"])
         if len(history) != state.num_columns + 1:
             raise ValidationError(
                 "majority history must hold one entry per ingested column plus "

@@ -35,6 +35,9 @@ Errors are structured, never tracebacks:
   → **409** (``ConfigurationError``)
 * unreadable stored bytes → **500**
   (:class:`~repro.streaming.store.StoreCorruptionError`)
+* anything else → **500** ``{"error": "internal error", "kind":
+  "internal", "error_id": ...}``; the exception and its traceback go to
+  the server's stderr as one JSON line under the same ``error_id``
 
 Transport is the stdlib :class:`http.server.ThreadingHTTPServer` — one
 thread per connection, which the per-session locks of the service were
@@ -48,11 +51,15 @@ methods return the same dataclasses as the in-process façade.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import traceback
 import urllib.error
 import urllib.parse
 import urllib.request
+import uuid
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -558,15 +565,41 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
             try:
                 status, payload = self.server.api.handle(self.command, self.path, body)
             except Exception as error:  # never leak a traceback onto the wire
-                status, payload = 500, {"error": repr(error), "kind": "internal"}
+                status, payload = 500, self._internal_error(error)
         encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", _JSON_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(encoded)))
+        head = [
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {_JSON_CONTENT_TYPE}",
+            f"Content-Length: {len(encoded)}",
+        ]
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(encoded)
+            head.append("Connection: close")
+        # Status line, headers and body leave in ONE write.  Headers and
+        # body as two writes make the body a second small segment, which
+        # Nagle's algorithm holds until the client's delayed ACK of the
+        # first (~40 ms) on every request of a keep-alive connection.
+        self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + encoded)
+
+    def _internal_error(self, error: Exception) -> Dict[str, object]:
+        """The 500 body of an unmapped exception, logged server-side.
+
+        The client gets an opaque ``error_id`` only; the exception text
+        and traceback go to stderr as one JSON line carrying the same id.
+        Call it from the ``except`` block that caught ``error``.
+        """
+        error_id = uuid.uuid4().hex
+        record = {
+            "error_id": error_id,
+            "exception": type(error).__name__,
+            "method": self.command,
+            "path": self.path,
+            "traceback": traceback.format_exc(),
+        }
+        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+        sys.stderr.flush()
+        return {"error": "internal error", "kind": "internal", "error_id": error_id}
 
     do_GET = do_POST = do_DELETE = _respond
 

@@ -24,10 +24,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.common.buffers import AppendArray
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
 from repro.core.base import EstimateResult, EstimatorProtocol
@@ -124,6 +125,11 @@ def read_snapshot(directory: Union[str, Path]) -> SessionSnapshot:
     return snapshot
 
 
+def _row_dtype(num_items: int) -> type:
+    """Narrowest dtype that holds every row index of ``num_items`` items."""
+    return np.uint16 if num_items <= 1 << 16 else np.int32
+
+
 class StreamingSession:
     """Incremental estimation over a live stream of worker responses.
 
@@ -137,11 +143,14 @@ class StreamingSession:
         Estimator instances or registry names to evaluate.  Defaults to
         every registered estimator.
     keep_votes:
-        Retain the raw vote columns (sparsely, O(votes) memory) so
-        :meth:`matrix` can materialise the equivalent
-        :class:`ResponseMatrix` (needed for estimate-only third-party
-        estimators, and handy for auditing).  Disable to run in O(state)
-        memory; fallback estimators then raise ``ConfigurationError``.
+        Retain the raw votes so :meth:`matrix` can materialise the
+        equivalent :class:`ResponseMatrix` (needed for estimate-only
+        third-party estimators, and handy for auditing).  They are kept
+        in one flat append-only store — a ``uint16`` row (``int32`` above
+        65,536 items) and an ``int8`` vote per vote, plus per-column
+        offsets and workers — about 4.5 B per retained vote.  Disable to
+        run in O(state) memory; fallback estimators then raise
+        ``ConfigurationError``.
 
     Examples
     --------
@@ -179,8 +188,12 @@ class StreamingSession:
         if len(set(seen)) != len(seen):
             raise ConfigurationError(f"estimator names must be unique, got {seen}")
         self._keep_votes = bool(keep_votes)
-        self._columns: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._column_workers: List[int] = []
+        # The retained votes, one flat append-only store: column ``j``'s
+        # votes are ``_rows``/``_values`` over ``_offsets[j]:_offsets[j+1]``.
+        self._rows = AppendArray(_row_dtype(self._state.num_items))
+        self._values = AppendArray(np.int8)
+        self._offsets = AppendArray(np.int64, [0])
+        self._workers = AppendArray(np.int64)
         self._matrix_cache: Optional[ResponseMatrix] = None
 
     # ------------------------------------------------------------------ #
@@ -230,21 +243,12 @@ class StreamingSession:
             "state": state_meta,
         }
         if self._keep_votes:
-            offsets = np.zeros(len(self._columns) + 1, dtype=np.int64)
-            for index, (rows, _) in enumerate(self._columns):
-                offsets[index + 1] = offsets[index] + rows.size
-            arrays["column_offsets"] = offsets
-            arrays["column_rows"] = (
-                np.concatenate([rows for rows, _ in self._columns])
-                if self._columns
-                else np.zeros(0, dtype=np.intp)
-            ).astype(np.int64)
-            arrays["column_values"] = (
-                np.concatenate([values for _, values in self._columns])
-                if self._columns
-                else np.zeros(0, dtype=np.int8)
-            )
-            arrays["column_workers"] = np.asarray(self._column_workers, dtype=np.int64)
+            # Views of the append-only store: no copy, and later ingestion
+            # never changes a byte the snapshot holds.
+            arrays["column_offsets"] = self._offsets.view()
+            arrays["column_rows"] = self._rows.view()
+            arrays["column_values"] = self._values.view()
+            arrays["column_workers"] = self._workers.view()
         return SessionSnapshot(manifest=manifest, arrays=arrays)
 
     @classmethod
@@ -286,23 +290,23 @@ class StreamingSession:
         session._state = state
         if keep_votes:
             arrays = snapshot.arrays
-            offsets = np.asarray(arrays["column_offsets"], dtype=np.int64)
-            rows = np.asarray(arrays["column_rows"], dtype=np.intp)
-            values = np.asarray(arrays["column_values"], dtype=np.int8)
-            if offsets.size != state.num_columns + 1:
+            session._offsets = AppendArray(np.int64, arrays["column_offsets"])
+            session._rows = AppendArray(_row_dtype(state.num_items), arrays["column_rows"])
+            session._values = AppendArray(np.int8, arrays["column_values"])
+            session._workers = AppendArray(np.int64, arrays["column_workers"])
+            if len(session._offsets) != state.num_columns + 1:
                 raise ValidationError(
                     "snapshot column offsets do not match the state's column count"
                 )
-            session._columns = [
-                (rows[offsets[i] : offsets[i + 1]].copy(), values[offsets[i] : offsets[i + 1]].copy())
-                for i in range(offsets.size - 1)
-            ]
-            session._column_workers = [
-                int(worker) for worker in np.asarray(arrays["column_workers"])
-            ]
-            if len(session._column_workers) != state.num_columns:
+            if len(session._workers) != state.num_columns:
                 raise ValidationError(
                     "snapshot column workers do not match the state's column count"
+                )
+            if not (
+                len(session._rows) == len(session._values) == session._offsets.view()[-1]
+            ):
+                raise ValidationError(
+                    "snapshot column offsets do not match the retained votes"
                 )
         return session
 
@@ -357,10 +361,10 @@ class StreamingSession:
             values.append(int(vote))
         index = self._state.num_columns
         if self._keep_votes:
-            self._columns.append(
-                (np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=np.int8))
-            )
-            self._column_workers.append(int(worker_id) if worker_id is not None else index)
+            self._rows.extend(rows)
+            self._values.extend(values)
+            self._offsets.append(len(self._rows))
+            self._workers.append(int(worker_id) if worker_id is not None else index)
             self._matrix_cache = None
         self._state.apply_column(rows, values)
         return index
@@ -461,13 +465,14 @@ class StreamingSession:
         if not self._keep_votes:
             raise ConfigurationError("the session was created with keep_votes=False")
         if self._matrix_cache is None:
-            votes = np.full((self.num_items, len(self._columns)), UNSEEN, dtype=np.int8)
-            for index, (rows, values) in enumerate(self._columns):
-                votes[rows, index] = values
+            num_columns = len(self._workers)
+            votes = np.full((self.num_items, num_columns), UNSEEN, dtype=np.int8)
+            columns = np.repeat(np.arange(num_columns), np.diff(self._offsets.view()))
+            votes[self._rows.view(), columns] = self._values.view()
             self._matrix_cache = ResponseMatrix.from_array(
                 votes,
                 item_ids=self._state.item_ids,
-                worker_ids=self._column_workers,
+                worker_ids=self._workers.view().tolist(),
             )
         return self._matrix_cache
 

@@ -15,6 +15,9 @@ Each class pins one fixed bug:
 * numpy arrays in estimator ``details`` escaped ``_plain`` and crashed
   ``json.dumps`` into an opaque 500, and a short ``worker_ids`` died as
   ``IndexError`` inside the client.
+* An unmapped server-side exception used to send its ``repr`` to the
+  client and log nothing; now the client gets an opaque ``error_id`` and
+  the exception goes to the server's stderr under that id.
 """
 
 from __future__ import annotations
@@ -267,3 +270,59 @@ class TestClientWorkerIdsValidation:
         client.create_session("w", item_ids=[0, 1, 2])
         ack = client.ingest("w", [{0: 1}, {1: 0}], worker_ids=[5, None])
         assert ack.applied == 2
+
+
+class _RaisingService:
+    """A façade stub whose every read fails with an unmapped exception."""
+
+    SECRET = "db password is hunter2"
+
+    def estimate_report(self, name):
+        raise RuntimeError(self.SECRET)
+
+
+class TestInternalErrorsStayServerSide:
+    def test_500_body_carries_an_error_id_and_no_exception_text(self, capsys):
+        with HttpServingServer(_RaisingService()) as server:
+            client = SessionClient(server.url)
+            with pytest.raises(HttpApiError) as caught:
+                client._request("GET", "/sessions/s/estimates")
+            # The raw body, as any client would read it.
+            connection = socket.create_connection((server.host, server.port))
+            try:
+                connection.sendall(
+                    b"GET /sessions/t/estimates HTTP/1.1\r\nHost: x\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+                raw = b""
+                while chunk := connection.recv(65536):
+                    raw += chunk
+            finally:
+                connection.close()
+        assert caught.value.status == 500
+        assert caught.value.kind == "internal"
+        assert str(caught.value) == "internal error"
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 500 ")
+        payload = json.loads(body)
+        assert set(payload) == {"error", "kind", "error_id"}
+        assert payload["error"] == "internal error"
+        assert payload["kind"] == "internal"
+        for text in (_RaisingService.SECRET, "RuntimeError", "Traceback"):
+            assert text.encode() not in raw
+
+        records = [
+            json.loads(line)
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("{")
+        ]
+        matching = [r for r in records if r["error_id"] == payload["error_id"]]
+        assert len(matching) == 1
+        record = matching[0]
+        assert record["method"] == "GET"
+        assert record["path"] == "/sessions/t/estimates"
+        assert record["exception"] == "RuntimeError"
+        assert _RaisingService.SECRET in record["traceback"]
+        # One line per failed request, each under its own id.
+        assert len(records) == 2
+        assert len({r["error_id"] for r in records}) == 2

@@ -15,6 +15,7 @@ single estimate at any future prefix.
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.streaming import (
     DirectorySessionStore,
     EstimationService,
     SNAPSHOT_FORMAT_VERSION,
+    SessionSnapshot,
     StreamingSession,
     read_snapshot,
     write_snapshot,
@@ -290,3 +292,128 @@ class TestStateArrayCodecValidation:
         session.add_column({1: DIRTY})
         for key, value in before.items():
             assert np.array_equal(snapshot.arrays[key], value), key
+
+
+class TestRetainedVoteStore:
+    """``keep_votes=True`` sessions retain votes in one flat, compact store."""
+
+    @pytest.mark.slow  # tracemalloc slows the per-vote ingest loop ~5x
+    def test_a_retained_vote_costs_at_most_six_bytes(self):
+        num_items, num_columns, votes_per_column = 5000, 10_000, 40
+        rng = np.random.default_rng(21)
+        columns = [
+            dict(
+                zip(
+                    rng.choice(num_items, votes_per_column, replace=False).tolist(),
+                    rng.integers(0, 2, votes_per_column).tolist(),
+                )
+            )
+            for _ in range(num_columns)
+        ]
+        session = StreamingSession(range(num_items), ["voting"])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            session.add_columns(columns)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert session.total_votes == num_columns * votes_per_column
+        per_vote = (after - before) / session.total_votes
+        assert per_vote <= 6.0, f"{per_vote:.2f} B per retained vote"
+
+    def test_snapshot_rows_use_the_narrowest_dtype_for_the_item_count(self):
+        for num_items, dtype in ((1 << 16, np.uint16), ((1 << 16) + 1, np.int32)):
+            session = StreamingSession(range(num_items), ["voting"])
+            session.add_column({0: DIRTY, num_items - 1: CLEAN}, worker_id=4)
+            snapshot = session.snapshot()
+            assert snapshot.arrays["column_rows"].dtype == dtype
+            assert snapshot.arrays["column_rows"].tolist() == [0, num_items - 1]
+            restored = StreamingSession.from_snapshot(snapshot)
+            assert np.array_equal(restored.matrix().values, session.matrix().values)
+
+    def test_a_snapshot_in_the_list_of_arrays_layout_restores_bit_identically(
+        self, tmp_path
+    ):
+        """Snapshots written before the flat store (int64 ``column_rows``,
+        built per column) restore exactly like a session that never stopped."""
+        rng = np.random.default_rng(22)
+        matrix = _random_matrix(rng, 30, 24)
+        estimators = _registry_estimators()
+        split = 16
+        uninterrupted = StreamingSession(matrix.item_ids, estimators)
+        _feed(uninterrupted, matrix, 0, split)
+
+        # Hand-build the earlier layout from the matrix itself.
+        state_arrays, state_meta = uninterrupted.state.to_arrays()
+        per_column = [
+            np.flatnonzero(matrix.values[:, column] != UNSEEN) for column in range(split)
+        ]
+        arrays = {key: np.array(value) for key, value in state_arrays.items()}
+        arrays["column_offsets"] = np.concatenate(
+            [[0], np.cumsum([rows.size for rows in per_column])]
+        ).astype(np.int64)
+        arrays["column_rows"] = np.concatenate(per_column).astype(np.int64)
+        arrays["column_values"] = np.concatenate(
+            [matrix.values[rows, column] for column, rows in enumerate(per_column)]
+        ).astype(np.int8)
+        arrays["column_workers"] = np.asarray(
+            matrix.column_workers[:split], dtype=np.int64
+        )
+        manifest = {
+            "format_version": SNAPSHOT_FORMAT_VERSION,
+            "kind": "repro.streaming.StreamingSession",
+            "num_items": matrix.num_items,
+            "num_columns": split,
+            "total_votes": int(arrays["column_rows"].size),
+            "keep_votes": True,
+            "estimators": [est.name for est in estimators],
+            "state": state_meta,
+        }
+        old = read_snapshot(
+            write_snapshot(SessionSnapshot(manifest, arrays), tmp_path / "old")
+        )
+        assert old.arrays["column_rows"].dtype == np.int64
+
+        restored = StreamingSession.from_snapshot(old, estimators)
+        assert np.array_equal(restored.matrix().values, uninterrupted.matrix().values)
+        assert restored.matrix().column_workers == uninterrupted.matrix().column_workers
+        assert restored.state.version == uninterrupted.state.version
+        _assert_same_results(uninterrupted.estimate(), restored.estimate(), "at split")
+        for prefix in range(split + 1, matrix.num_columns + 1):
+            _feed(uninterrupted, matrix, prefix - 1, prefix)
+            _feed(restored, matrix, prefix - 1, prefix)
+            assert restored.state.version == uninterrupted.state.version
+            _assert_same_results(
+                uninterrupted.estimate(), restored.estimate(), f"prefix {prefix}"
+            )
+        assert np.array_equal(restored.matrix().values, matrix.values)
+        assert restored.matrix().column_workers == matrix.column_workers
+        # Re-snapshotting writes the flat store's compact layout.
+        assert restored.snapshot().arrays["column_rows"].dtype == np.uint16
+
+    def test_restore_rejects_offsets_that_disagree_with_the_votes(self):
+        session = StreamingSession([0, 1, 2], ["voting"])
+        session.add_column({0: DIRTY, 1: CLEAN})
+        snapshot = session.snapshot().copy()
+        snapshot.arrays["column_offsets"][-1] = 1
+        with pytest.raises(ValidationError, match="retained votes"):
+            StreamingSession.from_snapshot(snapshot)
+
+
+def test_state_version_survives_compaction_and_cold_recovery(tmp_path):
+    """The served version triple is the same before and after a restart."""
+    rng = np.random.default_rng(23)
+    matrix = _random_matrix(rng, 12, 8)
+    reference = StreamingSession(matrix.item_ids, ["voting", "chao92"])
+    service = EstimationService(DirectorySessionStore(tmp_path), compact_after_bytes=None)
+    service.create_session("v", matrix.item_ids, ["voting", "chao92"])
+    workers = matrix.column_workers
+    for column in range(matrix.num_columns):
+        service.ingest("v", [matrix.column_votes(column)], worker_ids=[workers[column]])
+        reference.add_column(matrix.column_votes(column), workers[column])
+        if column == 4:
+            service.compact("v")  # the rest stays in the log
+    assert service.estimate_report("v").version == reference.state.version
+    recovered = EstimationService(DirectorySessionStore(tmp_path))
+    assert recovered.estimate_report("v").version == reference.state.version
