@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend",
         default=None,
-        help="array backend for the tensor engine (numpy/numba/cupy/torch; "
+        help="array backend for the tensor engine (numpy/numba; "
         "default: $REPRO_BACKEND or numpy)",
     )
     sweep.add_argument("--fn-rate", type=float, default=0.1)
@@ -732,8 +732,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _run_sweep(args)
             return 0
         except (ConfigurationError, ValidationError) as error:
-            # Unknown or unavailable backends (--backend torch without
-            # torch, a stray REPRO_BACKEND): a one-line diagnosis naming
+            # Unknown or unavailable backends (--backend numba without
+            # numba, a stray REPRO_BACKEND): a one-line diagnosis naming
             # the usable backends, never a traceback.
             print(f"error: {error}", file=sys.stderr)
             return 2

@@ -28,10 +28,8 @@ configurations can refer to estimators by name.
 
 from repro.core.backend import (
     ArrayBackend,
-    CupyBackend,
     NumbaBackend,
     NumpyBackend,
-    TorchBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -104,8 +102,6 @@ __all__ = [
     "ArrayBackend",
     "NumpyBackend",
     "NumbaBackend",
-    "CupyBackend",
-    "TorchBackend",
     "get_backend",
     "resolve_backend",
     "register_backend",

@@ -16,11 +16,7 @@ minimal :class:`ArrayBackend` seam so the same kernel code runs on:
 * **numba** — NumPy arrays plus :mod:`numba`-compiled fused scan loops
   for the two remaining sequential passes (event compaction and the
   per-checkpoint sweep-cell walk, see
-  :mod:`repro.core._scan_kernels`); registers only when Numba imports;
-* **cupy** / **torch** — the same kernels over GPU (or accelerated CPU)
-  arrays, registered only when the library imports; every result crosses
-  back through :meth:`ArrayBackend.asnumpy`, so downstream scalar
-  arithmetic — and therefore every estimate — is unchanged.
+  :mod:`repro.core._scan_kernels`); registers only when Numba imports.
 
 **Bit-identity is the contract**: every operation a backend implements is
 integer-exact (cumulative counts, scatter adds, sorted lookups), so a
@@ -242,205 +238,12 @@ class NumbaBackend(NumpyBackend):
             )
 
 
-class CupyBackend(ArrayBackend):
-    """CuPy on the current CUDA device (registers only when importable)."""
-
-    name = "cupy"
-    device = "cuda"
-    compiled_scans = False
-
-    def __init__(self) -> None:
-        try:
-            import cupy  # noqa: F401 - availability probe
-
-            cupy.zeros(1)  # fails fast on a toolkit without a usable device
-        except Exception as error:
-            raise ConfigurationError(
-                "backend 'cupy' needs the cupy package and a usable CUDA "
-                f"device ({error!r})"
-            ) from None
-        self._cp = cupy
-
-    def asarray(self, values, dtype=None):
-        return self._cp.asarray(values, dtype=dtype)
-
-    def asnumpy(self, values) -> np.ndarray:
-        return self._cp.asnumpy(values)
-
-    def zeros(self, shape, dtype):
-        return self._cp.zeros(shape, dtype=dtype)
-
-    def full(self, shape, fill_value, dtype):
-        return self._cp.full(shape, fill_value, dtype=dtype)
-
-    def arange(self, stop, dtype):
-        return self._cp.arange(stop, dtype=dtype)
-
-    def astype(self, values, dtype):
-        return values.astype(dtype, copy=False)
-
-    def cumsum(self, values, axis=None, dtype=None):
-        return self._cp.cumsum(values, axis=axis, dtype=dtype)
-
-    def sum(self, values, axis=None, dtype=None):
-        return values.sum(axis=axis, dtype=dtype)
-
-    def maximum_accumulate(self, values):
-        return self._cp.maximum.accumulate(values)
-
-    def where(self, condition, a, b):
-        return self._cp.where(condition, a, b)
-
-    def nonzero(self, values):
-        return self._cp.nonzero(values)
-
-    def bincount(self, values, weights=None, minlength=0):
-        return self._cp.bincount(values, weights=weights, minlength=minlength)
-
-    def segment_sum(self, values, segments, num_segments):
-        out = self._cp.zeros(num_segments, dtype=values.dtype)
-        self._cp.add.at(out, segments, values)
-        return out
-
-    def searchsorted(self, sorted_values, queries, side="left"):
-        return self._cp.searchsorted(sorted_values, queries, side=side)
-
-    def argsort_stable(self, values):
-        # cupy.argsort is not guaranteed stable; lexsort with the index as
-        # the secondary key is (primary key last, per the lexsort contract).
-        cp = self._cp
-        index = cp.arange(values.shape[0], dtype=cp.int64)
-        return cp.lexsort(cp.stack((index, values)))
-
-    def sort(self, values):
-        return self._cp.sort(values)
-
-    def ascontiguous(self, values):
-        return self._cp.ascontiguousarray(values)
-
-
-class TorchBackend(ArrayBackend):
-    """PyTorch tensors (registers only when importable; GPU when present)."""
-
-    name = "torch"
-    compiled_scans = False
-
-    def __init__(self) -> None:
-        try:
-            import torch
-        except Exception as error:
-            raise ConfigurationError(
-                f"backend 'torch' needs the torch package ({error!r})"
-            ) from None
-        self._torch = torch
-        self._device = torch.device("cuda" if torch.cuda.is_available() else "cpu")
-        self.device = str(self._device)
-
-    def _dtype(self, dtype):
-        """Map a NumPy dtype name onto the torch dtype system."""
-        if dtype is None:
-            return None
-        table = {
-            "bool": self._torch.bool,
-            "int8": self._torch.int8,
-            "int16": self._torch.int16,
-            "int32": self._torch.int32,
-            "int64": self._torch.int64,
-            "float32": self._torch.float32,
-            "float64": self._torch.float64,
-        }
-        return table[np.dtype(dtype).name]
-
-    def asarray(self, values, dtype=None):
-        torch = self._torch
-        if isinstance(values, torch.Tensor):
-            tensor = values.to(self._device)
-        else:
-            tensor = torch.from_numpy(np.ascontiguousarray(values)).to(self._device)
-        wanted = self._dtype(dtype)
-        return tensor if wanted is None else tensor.to(wanted)
-
-    def asnumpy(self, values) -> np.ndarray:
-        if isinstance(values, self._torch.Tensor):
-            return values.cpu().numpy()
-        return np.asarray(values)
-
-    def zeros(self, shape, dtype):
-        return self._torch.zeros(shape, dtype=self._dtype(dtype), device=self._device)
-
-    def full(self, shape, fill_value, dtype):
-        return self._torch.full(
-            shape, fill_value, dtype=self._dtype(dtype), device=self._device
-        )
-
-    def arange(self, stop, dtype):
-        return self._torch.arange(stop, dtype=self._dtype(dtype), device=self._device)
-
-    def astype(self, values, dtype):
-        return values.to(self._dtype(dtype))
-
-    def cumsum(self, values, axis=None, dtype=None):
-        dim = -1 if axis is None else axis
-        flat = values.reshape(-1) if axis is None else values
-        wanted = self._dtype(dtype)
-        if wanted is None:
-            return self._torch.cumsum(flat, dim=dim)
-        return self._torch.cumsum(flat.to(wanted), dim=dim)
-
-    def sum(self, values, axis=None, dtype=None):
-        wanted = self._dtype(dtype)
-        if axis is None:
-            return values.sum(dtype=wanted)
-        return values.sum(dim=axis, dtype=wanted)
-
-    def maximum_accumulate(self, values):
-        return self._torch.cummax(values, dim=-1).values
-
-    def where(self, condition, a, b):
-        torch = self._torch
-        if not isinstance(a, torch.Tensor):
-            a = torch.tensor(a, device=self._device)
-        if not isinstance(b, torch.Tensor):
-            b = torch.tensor(b, device=self._device)
-        return torch.where(condition, a, b)
-
-    def nonzero(self, values):
-        return self._torch.nonzero(values, as_tuple=True)
-
-    def bincount(self, values, weights=None, minlength=0):
-        if weights is not None:
-            weights = self.asarray(weights, dtype=np.float64)
-        return self._torch.bincount(values, weights=weights, minlength=minlength)
-
-    def segment_sum(self, values, segments, num_segments):
-        out = self._torch.zeros(
-            num_segments, dtype=values.dtype, device=self._device
-        )
-        return out.index_add_(0, segments.to(self._torch.int64), values)
-
-    def searchsorted(self, sorted_values, queries, side="left"):
-        return self._torch.searchsorted(
-            sorted_values, queries, right=(side == "right")
-        )
-
-    def argsort_stable(self, values):
-        return self._torch.argsort(values, stable=True)
-
-    def sort(self, values):
-        return self._torch.sort(values).values
-
-    def ascontiguous(self, values):
-        return values.contiguous()
-
-
 #: name -> constructor; construction raises ``ConfigurationError`` when the
 #: backing library is missing (that is what "registered but unavailable"
-#: means for the optional backends).
+#: means for the optional numba backend).
 _FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
     "numpy": NumpyBackend,
     "numba": NumbaBackend,
-    "cupy": CupyBackend,
-    "torch": TorchBackend,
 }
 
 #: Constructed-backend cache (backends are stateless; one instance each).

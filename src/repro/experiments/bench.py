@@ -1237,7 +1237,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend", default=None,
         help=(
             "array backend for the batch engine on runner workloads "
-            "(numpy/numba/cupy/torch; default: $REPRO_BACKEND or numpy)"
+            "(numpy/numba; default: $REPRO_BACKEND or numpy)"
         ),
     )
     parser.add_argument("--n-jobs", type=int, default=1, help="also time the chunked parallel dispatch")

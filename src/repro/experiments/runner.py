@@ -82,9 +82,9 @@ class RunnerConfig:
         bit-identical; only the wall-clock differs.
     backend:
         Name of the :class:`~repro.core.backend.ArrayBackend` the batch
-        engine's tensor kernels run on (``"numpy"``, ``"numba"``,
-        ``"cupy"``, ``"torch"``; ``None`` resolves via the
-        ``REPRO_BACKEND`` environment variable and defaults to numpy).
+        engine's tensor kernels run on (``"numpy"`` or ``"numba"``;
+        ``None`` resolves via the ``REPRO_BACKEND`` environment variable
+        and defaults to numpy).
         The serial engine always runs the numpy reference.  Every backend
         produces bit-identical estimates; unknown or unavailable names
         raise :class:`~repro.common.exceptions.ConfigurationError` at

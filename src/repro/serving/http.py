@@ -9,15 +9,24 @@ is identical, so the wire layer cannot tell them apart):
 Method Path                                Meaning
 ====== =================================== =====================================
 GET    ``/health``                         liveness + session/shard counts
+GET    ``/stats``                          the four service counters
 GET    ``/sessions``                       known session names
+GET    ``/sessions?active=1``              live in-memory session names
 POST   ``/sessions``                       create a session
 GET    ``/sessions/<name>``                progress summary
 DELETE ``/sessions/<name>``                drop the session everywhere
 POST   ``/sessions/<name>/batches``        ingest one batch (idempotent)
 GET    ``/sessions/<name>/estimates``      cached estimates + state version
+GET    ``/sessions/<name>/collusion``      pairwise-agreement collusion report
 POST   ``/sessions/<name>/snapshot``       persist a snapshot to the store
 POST   ``/sessions/<name>/compact``        fold the session's log into a snapshot
+POST   ``/sessions/<name>/evict``          park a live session in the store
+POST   ``/sessions/<name>/restore``        re-activate a session from the store
 ====== =================================== =====================================
+
+Every route calls exactly one façade method, so a :class:`ServingApi`
+over a :class:`SessionClient` (or over a shard worker, which is one)
+answers byte for byte like one over the service it proxies.
 
 The ``(source, sequence)`` pair of the ingest body is the **wire-level
 retry contract**: a client that dies before reading its acknowledgement
@@ -43,9 +52,10 @@ Transport is the stdlib :class:`http.server.ThreadingHTTPServer` — one
 thread per connection, which the per-session locks of the service were
 built for.  :class:`ServingApi` itself is transport-free (``handle`` maps
 ``(method, path, body)`` to ``(status, payload)``), so tests can drive
-the full routing and error mapping without opening a socket, and
-:class:`SessionClient` is the matching stdlib ``urllib`` client whose
-methods return the same dataclasses as the in-process façade.
+the full routing and error mapping without opening a socket, and the
+shard worker processes of :mod:`repro.serving.workers` run it behind a
+pipe.  :class:`SessionClient` is the matching client whose methods
+return the same dataclasses as the in-process façade.
 """
 
 from __future__ import annotations
@@ -123,9 +133,7 @@ class HttpShardUnavailableError(ShardUnavailableError, HttpApiError):
 
 
 #: How the server classifies library errors: ``(exception, status, kind)``,
-#: checked in order (subclasses before their bases).  Shared by
-#: :meth:`ServingApi.handle` and the per-shard worker processes
-#: (:mod:`repro.serving.workers`), so the two boundaries cannot drift.
+#: checked in order (subclasses before their bases).
 SERVER_ERROR_TAXONOMY: Tuple[Tuple[type, int, str], ...] = (
     (UnknownSessionError, 404, "unknown_session"),
     (StoreCorruptionError, 500, "store_corruption"),
@@ -162,6 +170,29 @@ def error_from_kind(status: int, message: str, kind: str) -> HttpApiError:
     :class:`HttpApiError`.  Status and kind stay attached either way.
     """
     return CLIENT_ERROR_TYPES.get(kind, HttpApiError)(status, message, kind)
+
+
+def log_internal_error(error: BaseException, method: str, path: str) -> Dict[str, object]:
+    """Log an unmapped exception server-side; returns its opaque 500 body.
+
+    The client gets an ``error_id`` only; the exception name, the request
+    and the traceback go to stderr as one JSON line carrying the same id.
+    Shared by the HTTP transport and the shard worker loop, so a 500 from
+    either leaves the same record.
+    """
+    error_id = uuid.uuid4().hex
+    record = {
+        "error_id": error_id,
+        "exception": type(error).__name__,
+        "method": method,
+        "path": path,
+        "traceback": "".join(
+            traceback.format_exception(type(error), error, error.__traceback__)
+        ),
+    }
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+    sys.stderr.flush()
+    return {"error": "internal error", "kind": "internal", "error_id": error_id}
 
 
 # --------------------------------------------------------------------- #
@@ -298,12 +329,22 @@ def report_from_payload(payload: Mapping[str, object]) -> EstimateReport:
 # --------------------------------------------------------------------- #
 # the transport-free API core
 # --------------------------------------------------------------------- #
+#: The service counters ``GET /stats`` reports.
+SERVICE_COUNTERS = (
+    "estimates_served",
+    "estimate_cache_hits",
+    "sessions_restored",
+    "sessions_evicted",
+)
+
+
 class ServingApi:
     """Route ``(method, path, body)`` requests onto a serving façade.
 
     Works over anything with the :class:`EstimationService` surface —
-    including :class:`ShardedEstimationService`.  Thread-safe to exactly
-    the degree the underlying service is; the only state of its own is a
+    :class:`ShardedEstimationService`, the process-sharded service and
+    :class:`SessionClient` included.  Thread-safe to exactly the degree
+    the underlying service is; the only state of its own is a
     lock-guarded request counter.
     """
 
@@ -354,38 +395,51 @@ class ServingApi:
             key: values[-1]
             for key, values in urllib.parse.parse_qs(raw_query).items()
         }
+        service = self.service
         if parts == ["health"] and method == "GET":
             return self._health()
+        if parts == ["stats"] and method == "GET":
+            return 200, {
+                counter: int(getattr(service, counter)) for counter in SERVICE_COUNTERS
+            }
         if parts == ["sessions"]:
             if method == "GET":
-                return 200, {"sessions": self.service.sessions()}
+                if _query_flag(query, "active"):
+                    return 200, {"sessions": sorted(service.active_sessions())}
+                return 200, {"sessions": service.sessions()}
             if method == "POST":
                 return self._create(self._json_body(body))
         if len(parts) == 2 and parts[0] == "sessions":
             name = parts[1]
             if method == "GET":
-                return 200, {
-                    "session": name,
-                    "progress": _plain(self.service.progress(name)),
-                }
+                return 200, {"session": name, "progress": _plain(service.progress(name))}
             if method == "DELETE":
-                self.service.drop(name)
+                service.drop(name)
                 return 200, {"session": name, "dropped": True}
         if len(parts) == 3 and parts[0] == "sessions":
             name, action = parts[1], parts[2]
-            if action == "batches" and method == "POST":
-                return self._ingest(name, self._json_body(body))
-            if action == "estimates" and method == "GET":
-                payload = report_to_payload(self.service.estimate_report(name))
-                if _query_flag(query, "collusion"):
-                    payload["collusion"] = self._collusion(name, query)
-                return 200, payload
-            if action == "snapshot" and method == "POST":
-                self.service.snapshot(name)
-                return 200, {"session": name, "snapshotted": True}
-            if action == "compact" and method == "POST":
-                self.service.compact(name)
-                return 200, {"session": name, "compacted": True}
+            if method == "GET":
+                if action == "estimates":
+                    payload = report_to_payload(service.estimate_report(name))
+                    if _query_flag(query, "collusion"):
+                        payload["collusion"] = self._collusion(name, query)
+                    return 200, payload
+                if action == "collusion":
+                    return 200, {"session": name, "collusion": self._collusion(name, query)}
+            if method == "POST":
+                if action == "batches":
+                    return self._ingest(name, self._json_body(body))
+                if action == "snapshot":
+                    service.snapshot(name)
+                    return 200, {"session": name, "snapshotted": True}
+                if action == "compact":
+                    service.compact(name)
+                    return 200, {"session": name, "compacted": True}
+                if action == "evict":
+                    service.evict(name)
+                    return 200, {"session": name, "evicted": True}
+                if action == "restore":
+                    return self._restore(name, body)
         return 404, {
             "error": f"no route for {method} {path}",
             "kind": "unknown_route",
@@ -395,20 +449,13 @@ class ServingApi:
     # endpoints
     # ------------------------------------------------------------------ #
     def _collusion(self, name: str, query: Dict[str, str]) -> Dict[str, object]:
-        """The estimates route's ``?collusion=1`` extension.
+        """The collusion report of ``/collusion`` and ``estimates?collusion=1``.
 
         Optional ``threshold`` / ``min_overlap`` query parameters tune
-        the agreement scan; a service without the capability (the
-        process-sharded facade keeps its worker RPC surface minimal)
-        answers with a 400 rather than a confusing unknown-route 404.
+        the agreement scan.  In-process services return a
+        :class:`~repro.core.descriptive.CollusionReport`, wire clients
+        its payload already.
         """
-        reporter = getattr(self.service, "collusion_report", None)
-        if reporter is None:
-            raise ValidationError(
-                "this service does not support collusion reports "
-                "(process-sharded serving keeps the worker protocol to the "
-                "core ingest/estimate surface)"
-            )
         kwargs: Dict[str, object] = {}
         if "threshold" in query:
             try:
@@ -424,7 +471,8 @@ class ServingApi:
                 raise ValidationError(
                     f"'min_overlap' must be an integer, got {query['min_overlap']!r}"
                 ) from None
-        return reporter(name, **kwargs).to_dict()
+        report = self.service.collusion_report(name, **kwargs)
+        return report if isinstance(report, dict) else report.to_dict()
 
     def _health(self) -> Tuple[int, Dict[str, object]]:
         service = self.service
@@ -466,12 +514,7 @@ class ServingApi:
                 item_ids = list(range(int(payload["items"])))
             except (TypeError, ValueError):
                 raise ValidationError("'items' must be an integer") from None
-        estimators = payload.get("estimators")
-        if estimators is not None:
-            if not isinstance(estimators, list) or not all(
-                isinstance(entry, str) for entry in estimators
-            ):
-                raise ValidationError("'estimators' must be a list of registry names")
+        estimators = self._estimators(payload)
         keep_votes = payload.get("keep_votes", True)
         if not isinstance(keep_votes, bool):
             raise ValidationError("'keep_votes' must be a boolean")
@@ -481,6 +524,26 @@ class ServingApi:
             "num_items": len(item_ids),
             "keep_votes": keep_votes,
         }
+
+    def _restore(self, name: str, body: bytes) -> Tuple[int, Dict[str, object]]:
+        payload = self._json_body(body) if body else {}
+        unknown = sorted(set(payload) - {"estimators"})
+        if unknown:
+            raise ValidationError(
+                f"unknown restore key(s) {unknown}; expected optional 'estimators'"
+            )
+        progress = self.service.restore(name, None, self._estimators(payload))
+        return 200, {"session": name, "progress": _plain(progress)}
+
+    @staticmethod
+    def _estimators(payload: Dict[str, object]) -> Optional[List[str]]:
+        estimators = payload.get("estimators")
+        if estimators is not None and (
+            not isinstance(estimators, list)
+            or not all(isinstance(entry, str) for entry in estimators)
+        ):
+            raise ValidationError("'estimators' must be a list of registry names")
+        return estimators
 
     def _ingest(
         self, name: str, payload: Dict[str, object]
@@ -565,7 +628,7 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
             try:
                 status, payload = self.server.api.handle(self.command, self.path, body)
             except Exception as error:  # never leak a traceback onto the wire
-                status, payload = 500, self._internal_error(error)
+                status, payload = 500, log_internal_error(error, self.command, self.path)
         encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
         head = [
             f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
@@ -581,25 +644,6 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
         # Nagle's algorithm holds until the client's delayed ACK of the
         # first (~40 ms) on every request of a keep-alive connection.
         self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + encoded)
-
-    def _internal_error(self, error: Exception) -> Dict[str, object]:
-        """The 500 body of an unmapped exception, logged server-side.
-
-        The client gets an opaque ``error_id`` only; the exception text
-        and traceback go to stderr as one JSON line carrying the same id.
-        Call it from the ``except`` block that caught ``error``.
-        """
-        error_id = uuid.uuid4().hex
-        record = {
-            "error_id": error_id,
-            "exception": type(error).__name__,
-            "method": self.command,
-            "path": self.path,
-            "traceback": traceback.format_exc(),
-        }
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        sys.stderr.flush()
-        return {"error": "internal error", "kind": "internal", "error_id": error_id}
 
     do_GET = do_POST = do_DELETE = _respond
 
@@ -723,13 +767,35 @@ def _query_flag(query: Mapping[str, str], key: str) -> bool:
     return value.strip().lower() not in {"", "0", "false", "no"}
 
 
+def _registry_names(estimators: Optional[Sequence[object]]) -> Optional[List[str]]:
+    """``estimators`` as a JSON list of registry names (objects cannot travel)."""
+    if estimators is None:
+        return None
+    names = list(estimators)
+    if not all(isinstance(name, str) for name in names):
+        raise ValidationError(
+            "remote services accept estimator registry names only; estimator "
+            "objects cannot cross a process boundary"
+        )
+    return names
+
+
 class SessionClient:
     """A ``urllib``-based client speaking the :class:`ServingApi` wire format.
 
     Methods mirror the in-process façade and return the same dataclasses
     (:class:`IngestResult`, :class:`EstimateReport`,
     :class:`~repro.core.base.EstimateResult`), so code — including the
-    load generator — can run against either without changes.  Error
+    load generator and :class:`ServingApi` itself — can run against
+    either without changes.  Each method is one request to the route of
+    the same name; :meth:`_request` is the only transport code, and the
+    shard workers of :mod:`repro.serving.workers` replace it with a pipe.
+    The process boundary forces four divergences: :meth:`snapshot` and
+    :meth:`compact` return a receipt mapping instead of the
+    :class:`~repro.streaming.session.SessionSnapshot`,
+    :meth:`collusion_report` returns the report's payload mapping,
+    :meth:`restore` only restores from the server's own store, and
+    estimators travel as registry names, never objects.  Error
     responses raise the typed exception the façade would have raised
     (``unknown_session`` → :class:`HttpUnknownSessionError`, catchable as
     ``UnknownSessionError``, and so on per :data:`CLIENT_ERROR_TYPES`);
@@ -772,6 +838,19 @@ class SessionClient:
     def sessions(self) -> List[str]:
         return [str(name) for name in self._request("GET", "/sessions")["sessions"]]
 
+    def active_sessions(self) -> List[str]:
+        """Live in-memory session names, sorted."""
+        body = self._request("GET", "/sessions?active=1")
+        return [str(name) for name in body["sessions"]]
+
+    def _counter(self, counter: str) -> int:
+        return int(self._request("GET", "/stats")[counter])
+
+    estimates_served = property(lambda self: self._counter("estimates_served"))
+    estimate_cache_hits = property(lambda self: self._counter("estimate_cache_hits"))
+    sessions_restored = property(lambda self: self._counter("sessions_restored"))
+    sessions_evicted = property(lambda self: self._counter("sessions_evicted"))
+
     def create_session(
         self,
         name: str,
@@ -787,7 +866,7 @@ class SessionClient:
         if items is not None:
             payload["items"] = int(items)
         if estimators is not None:
-            payload["estimators"] = list(estimators)
+            payload["estimators"] = _registry_names(estimators)
         self._request("POST", "/sessions", payload)
         return name
 
@@ -849,28 +928,51 @@ class SessionClient:
         threshold: Optional[float] = None,
         min_overlap: Optional[int] = None,
     ) -> Dict[str, object]:
-        """The estimates route's collusion extension, as a plain payload.
+        """The session's collusion report, as a plain payload.
 
         Mirrors ``EstimationService.collusion_report`` over the wire
-        (``GET /sessions/{name}/estimates?collusion=1``); omitted knobs
-        take the server-side defaults.
+        (``GET /sessions/{name}/collusion``); omitted knobs take the
+        server-side defaults.
         """
-        params = {"collusion": "1"}
+        params = {}
         if threshold is not None:
             params["threshold"] = repr(float(threshold))
         if min_overlap is not None:
             params["min_overlap"] = str(int(min_overlap))
-        body = self._request(
-            "GET",
-            f"/sessions/{name}/estimates?" + urllib.parse.urlencode(params),
-        )
-        return dict(body["collusion"])
+        path = f"/sessions/{name}/collusion"
+        if params:
+            path += "?" + urllib.parse.urlencode(params)
+        return dict(self._request("GET", path)["collusion"])
 
     def snapshot(self, name: str) -> Dict[str, object]:
         return self._request("POST", f"/sessions/{name}/snapshot", {})
 
     def compact(self, name: str) -> Dict[str, object]:
         return self._request("POST", f"/sessions/{name}/compact", {})
+
+    def evict(self, name: str) -> str:
+        """Park the live session ``name`` in the server's store."""
+        self._request("POST", f"/sessions/{name}/evict", {})
+        return name
+
+    def restore(
+        self,
+        name: str,
+        snapshot: Optional[object] = None,
+        estimators: Optional[Sequence[str]] = None,
+    ) -> Dict[str, float]:
+        """Re-activate ``name`` from the server's own store; returns its progress."""
+        if snapshot is not None:
+            raise ValidationError(
+                "a remote service only restores from its own store; a "
+                "snapshot object cannot cross the wire — save it into the "
+                "store first"
+            )
+        payload: Dict[str, object] = {}
+        if estimators is not None:
+            payload["estimators"] = _registry_names(estimators)
+        progress = self._request("POST", f"/sessions/{name}/restore", payload)["progress"]
+        return {str(key): float(value) for key, value in progress.items()}
 
     def drop(self, name: str) -> None:
         self._request("DELETE", f"/sessions/{name}")

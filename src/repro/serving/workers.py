@@ -1,8 +1,9 @@
 """Process-per-shard serving: each shard owned by its own worker process.
 
-:class:`~repro.streaming.serving.ShardedEstimationService` partitions
-sessions across N in-process shards; this module moves each shard into
-its **own worker process** behind the identical façade.  Why processes:
+:class:`~repro.streaming.serving.ShardedEstimationService` routes
+sessions across N shards by a hash of their name; this module keeps that
+router and moves each shard into its **own worker process**.  Why
+processes:
 
 * **Ownership instead of locking** — exactly one process opens a shard's
   store (enforced with an advisory ``flock``,
@@ -21,19 +22,24 @@ Topology::
     HTTP clients ──► HttpServingServer ──► ServingApi
                                              │
                                   ProcessShardedService (parent)
+                                  = ShardedEstimationService router
                                    │ sha256 shard_index(name) │
                             ┌──────┴──────┐           ┌───────┴─────┐
                             ▼             ▼           ▼             ▼
                         worker 0      worker 1    ...           worker N-1
-                      (EstimationService over shard-0000/, flock-owned)
+                   (ServingApi over EstimationService over shard-0000/, flock-owned)
 
-The parent↔worker RPC is deliberately tiny: length-prefixed JSON frames
-(4-byte big-endian length + UTF-8 JSON) over the worker's stdin/stdout
-pipes, reusing the wire codecs of :mod:`repro.serving.http`
-(:func:`~repro.serving.http.parse_columns_payload`,
-:func:`~repro.serving.http.report_to_payload`) and the same error
-taxonomy (:data:`~repro.serving.http.SERVER_ERROR_TAXONOMY`), so the
-pipe boundary and the HTTP boundary cannot drift apart.
+There is one dispatch table: each worker runs a plain
+:class:`~repro.serving.http.ServingApi`, and the parent's per-shard
+handle is a :class:`~repro.serving.http.SessionClient` whose transport is
+the worker's stdin/stdout pipe instead of HTTP.  A request frame carries
+``(method, path, body)``, a reply frame ``(status, payload)``; both are
+length-prefixed (4-byte big-endian length, then a UTF-8 head line, a
+newline and the JSON body bytes), so each direction of a round trip
+costs one JSON encode and one decode.  Error replies map back
+to typed exceptions through :func:`~repro.serving.http.error_from_kind`,
+and an unmapped exception in a worker is logged to stderr by
+:func:`~repro.serving.http.log_internal_error` exactly like an HTTP 500.
 
 Failure contract (what callers may rely on):
 
@@ -52,10 +58,10 @@ Failure contract (what callers may rely on):
   ``max_restarts`` times over the service's lifetime; beyond it the
   shard stays unavailable (``ShardUnavailableError``) instead of
   crash-looping.
-* **Graceful drain** — :meth:`ProcessShardedService.close` sends every
-  worker a ``shutdown`` request and waits, escalating to terminate/kill
-  on a deadline.  Nothing is lost either way: all state is already in
-  the WAL.
+* **Graceful drain** — :meth:`ProcessShardedService.close` closes every
+  worker's stdin (EOF is the worker's shutdown signal) and waits,
+  escalating to terminate/kill on a deadline.  Nothing is lost either
+  way: all state is already in the WAL.
 """
 
 from __future__ import annotations
@@ -71,35 +77,30 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.common.exceptions import ConfigurationError, ReproError, ValidationError
-from repro.core.base import EstimateResult
+from repro.common.exceptions import ConfigurationError
 from repro.serving.http import (
+    ServingApi,
+    SessionClient,
     classify_error,
     error_from_kind,
-    parse_columns_payload,
-    report_from_payload,
-    report_to_payload,
-    _plain,
+    log_internal_error,
 )
 from repro.streaming.serving import (
     DEFAULT_COMPACT_BYTES,
-    EstimateReport,
     EstimationService,
-    IngestResult,
+    ShardedEstimationService,
     ShardUnavailableError,
     reconcile_shard_manifest,
-    shard_index,
 )
-from repro.streaming.session import SessionSnapshot
 from repro.streaming.store import DirectorySessionStore
 
-#: RPC protocol version, checked in the boot handshake.
-PROTOCOL_VERSION = 1
+#: Pipe protocol version, sent in the boot handshake.
+PROTOCOL_VERSION = 2
 
-#: Upper bound on one RPC frame; a longer length prefix means the stream
-#: is desynchronised (or the peer is hostile) and the connection is torn
+#: Upper bound on one frame; a longer length prefix means the stream is
+#: desynchronised (or the peer is hostile) and the connection is torn
 #: down rather than trusted.
 MAX_FRAME_BYTES = 256 << 20
 
@@ -119,157 +120,72 @@ DEFAULT_MAX_RESTARTS = 3
 # --------------------------------------------------------------------- #
 # framing (shared by both ends of the pipe)
 # --------------------------------------------------------------------- #
-def write_frame(stream: BinaryIO, payload: Mapping[str, object]) -> None:
-    """Write one length-prefixed JSON frame and flush it."""
-    data = json.dumps(payload, sort_keys=True).encode("utf-8")
+def write_frame(stream: BinaryIO, head: str, body: bytes = b"") -> None:
+    """Write one length-prefixed ``head`` line + ``body`` frame and flush it."""
+    data = head.encode("utf-8") + b"\n" + body
     stream.write(struct.pack(">I", len(data)) + data)
     stream.flush()
 
 
-def read_frame(stream: BinaryIO) -> Optional[Dict[str, object]]:
-    """Read one frame from a blocking stream; ``None`` on clean EOF."""
+def _split_frame(data: bytes) -> Tuple[str, bytes]:
+    head, _, body = data.partition(b"\n")
+    return head.decode("utf-8"), body
+
+
+def read_frame(stream: BinaryIO) -> Optional[Tuple[str, bytes]]:
+    """Read one ``(head, body)`` frame from a blocking stream; ``None`` on EOF."""
     header = stream.read(4)
     if len(header) < 4:
         return None
     (length,) = struct.unpack(">I", header)
     if length > MAX_FRAME_BYTES:
         raise ConfigurationError(
-            f"oversized RPC frame ({length} bytes): stream desynchronised"
+            f"oversized frame ({length} bytes): stream desynchronised"
         )
     data = stream.read(length)
     if len(data) < length:
         return None
-    return json.loads(data.decode("utf-8"))
+    return _split_frame(data)
+
+
+def _write_reply(stream: BinaryIO, status: int, payload: Dict[str, object]) -> None:
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    write_frame(stream, str(status), body)
+
+
+def _reply_error(status: int, payload: Dict[str, object]) -> Exception:
+    """The typed exception for a worker's ``(status, payload)`` error reply."""
+    message = str(payload.get("error", "worker error"))
+    return error_from_kind(status, message, str(payload.get("kind", "internal")))
 
 
 # --------------------------------------------------------------------- #
-# the worker process (python -m repro.serving.workers)
+# the worker process (python -m repro.serving._worker_main)
 # --------------------------------------------------------------------- #
-def _ok(result: object) -> Dict[str, object]:
-    return {"ok": True, "result": result}
+def serve_worker(service, shard: int, stdin: BinaryIO, stdout: BinaryIO) -> int:
+    """The worker request loop: ``(method, path, body)`` frames through a
+    :class:`ServingApi` over ``service``, ``(status, payload)`` frames out.
 
-
-def _err(error: BaseException) -> Dict[str, object]:
-    mapped = classify_error(error) if isinstance(error, ReproError) else None
-    status, kind = mapped if mapped is not None else (500, "internal")
-    return {
-        "ok": False,
-        "status": status,
-        "kind": kind,
-        "error": str(error) or repr(error),
-    }
-
-
-def _dispatch(service: EstimationService, request: Mapping[str, object]) -> object:
-    """Apply one RPC request to the shard's service; returns the result.
-
-    The wire shapes mirror the HTTP API: ingest columns arrive in the
-    :func:`~repro.serving.http.parse_columns_payload` shape and estimate
-    reports leave as :func:`~repro.serving.http.report_to_payload`
-    objects, so both boundaries decode with the same codecs.
+    Returns the process exit code.  EOF on stdin is the shutdown signal:
+    every acknowledged mutation is already in the shard's WAL.
     """
-    op = request.get("op")
-    name = request.get("name")
-    if op == "ping":
-        return {"pong": True}
-    if op == "create_session":
-        service.create_session(
-            str(name),
-            [int(item) for item in request["item_ids"]],
-            request.get("estimators"),
-            keep_votes=bool(request.get("keep_votes", True)),
-        )
-        return {"session": name}
-    if op == "ingest":
-        columns, workers = parse_columns_payload(request.get("columns"))
-        result = service.ingest(
-            str(name),
-            columns,
-            worker_ids=workers,
-            source=request.get("source"),
-            sequence=request.get("sequence"),
-        )
-        return {
-            "session": result.session,
-            "applied": result.applied,
-            "duplicate": result.duplicate,
-            "num_columns": result.num_columns,
-            "total_votes": result.total_votes,
-        }
-    if op == "estimate_report":
-        return report_to_payload(service.estimate_report(str(name)))
-    if op == "progress":
-        return _plain(service.progress(str(name)))
-    if op == "snapshot":
-        service.snapshot(str(name))
-        return {"session": name, "snapshotted": True}
-    if op == "compact":
-        service.compact(str(name))
-        return {"session": name, "compacted": True}
-    if op == "restore":
-        return _plain(service.restore(str(name), None, request.get("estimators")))
-    if op == "drop":
-        service.drop(str(name))
-        return {"session": name, "dropped": True}
-    if op == "evict":
-        victim = service.evict(None if name is None else str(name))
-        return {"evicted": victim}
-    if op == "sessions":
-        return {"sessions": service.sessions()}
-    if op == "active_sessions":
-        return {"sessions": service.active_sessions()}
-    if op == "stats":
-        return {
-            "estimates_served": service.estimates_served,
-            "estimate_cache_hits": service.estimate_cache_hits,
-            "sessions_restored": service.sessions_restored,
-            "sessions_evicted": service.sessions_evicted,
-        }
-    if op == "debug_sleep":
-        # Test hook for the parent's timeout path: wedge this worker for
-        # a caller-chosen interval.
-        time.sleep(float(request.get("seconds", 0.0)))
-        return {"slept": float(request.get("seconds", 0.0))}
-    raise ValidationError(f"unknown worker op {op!r}")
-
-
-def serve_worker(
-    service: EstimationService,
-    shard: int,
-    stdin: BinaryIO,
-    stdout: BinaryIO,
-) -> int:
-    """The worker request loop: frames in, dispatch, frames out.
-
-    Returns the process exit code.  EOF on stdin means the parent went
-    away — treated exactly like a ``shutdown`` request, since every
-    acknowledged mutation is already in the shard's WAL.
-    """
-    write_frame(
+    api = ServingApi(service)
+    _write_reply(
         stdout,
-        _ok(
-            {
-                "hello": {
-                    "pid": os.getpid(),
-                    "shard": shard,
-                    "protocol": PROTOCOL_VERSION,
-                    "sessions": len(service.sessions()),
-                }
-            }
-        ),
+        200,
+        {"hello": {"pid": os.getpid(), "shard": shard, "protocol": PROTOCOL_VERSION}},
     )
     while True:
         request = read_frame(stdin)
         if request is None:
             return 0
-        if request.get("op") == "shutdown":
-            write_frame(stdout, _ok({"bye": True}))
-            return 0
+        head, body = request
+        method, _, path = head.partition(" ")
         try:
-            reply = _ok(_dispatch(service, request))
-        except Exception as error:  # structured, never a traceback
-            reply = _err(error)
-        write_frame(stdout, reply)
+            status, payload = api.handle(method, path, body)
+        except Exception as error:  # logged here, never a traceback on the pipe
+            status, payload = 500, log_internal_error(error, method, path)
+        _write_reply(stdout, status, payload)
 
 
 def worker_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -278,7 +194,7 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     Opens the shard store with **exclusive ownership** (another live
     owner is a boot failure, reported as a structured handshake error),
     recovers its sessions lazily through the normal service path, then
-    serves RPC frames until shutdown/EOF.
+    serves frames until EOF.
     """
     parser = argparse.ArgumentParser(
         prog="repro-shard-worker",
@@ -293,7 +209,7 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--sync", action="store_true")
     args = parser.parse_args(argv)
 
-    # The RPC stream must stay clean: keep a private handle on the real
+    # The frame stream must stay clean: keep a private handle on the real
     # stdout pipe and point fd 1 at stderr, so any stray print() from
     # library code lands in the parent's log instead of desynchronising
     # the framing.  SIGINT is ignored — a Ctrl-C on the foreground CLI
@@ -314,7 +230,11 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
             compact_after_bytes=args.compact_after_bytes or None,
         )
     except Exception as error:
-        write_frame(rpc_out, _err(error))
+        mapped = classify_error(error)
+        if mapped is None:
+            _write_reply(rpc_out, 500, log_internal_error(error, "BOOT", args.shard_dir))
+        else:
+            _write_reply(rpc_out, mapped[0], {"error": str(error), "kind": mapped[1]})
         return 1
     return serve_worker(service, args.shard_index, sys.stdin.buffer, rpc_out)
 
@@ -330,14 +250,20 @@ class _WorkerTimeout(Exception):
     """Internal: the per-request deadline passed without a full reply."""
 
 
-class _ShardWorker:
+class _ShardWorker(SessionClient):
     """The parent's handle on one shard worker process.
 
-    One request is in flight per worker at a time (``self.lock``), which
-    is what makes the framed pipe a sufficient transport: replies cannot
-    interleave.  Cross-shard parallelism comes from having N workers,
-    not from pipelining within one.
+    Its façade methods are :class:`SessionClient`'s own; only
+    :meth:`_request` differs, sending each request down the worker's
+    pipe instead of over HTTP.  One request is in flight per worker at a
+    time (``self.lock``), which is what makes the framed pipe a
+    sufficient transport: replies cannot interleave.  Cross-shard
+    parallelism comes from having N workers, not from pipelining within
+    one.
     """
+
+    #: Workers always ingest through their shard's write-ahead log.
+    wal_enabled = True
 
     def __init__(
         self,
@@ -360,6 +286,7 @@ class _ShardWorker:
         self.boot_timeout = float(boot_timeout)
         self.max_restarts = int(max_restarts)
         self.restarts = 0
+        self.closed = False
         self.lock = threading.Lock()
         self.process: Optional[subprocess.Popen] = None
         #: whether a worker was ever spawned: every spawn after the first
@@ -410,19 +337,15 @@ class _ShardWorker:
             env=env,
         )
         try:
-            reply = self._read_frame(time.monotonic() + self.boot_timeout)
+            status, payload = self._read_reply(time.monotonic() + self.boot_timeout)
         except (_WorkerDied, _WorkerTimeout) as error:
             self._kill()
             raise ShardUnavailableError(
                 f"shard {self.index} worker failed to boot: {error!r}"
             ) from None
-        if not reply.get("ok"):
+        if status != 200:
             self._kill()
-            raise error_from_kind(
-                int(reply.get("status", 500)),
-                str(reply.get("error", "worker boot failed")),
-                str(reply.get("kind", "internal")),
-            )
+            raise _reply_error(status, payload)
 
     def _alive(self) -> bool:
         return self.process is not None and self.process.poll() is None
@@ -468,18 +391,9 @@ class _ShardWorker:
             self.restarts += 1
         self._spawn()
 
-    def note_external_death(self) -> None:
-        """Observe (outside a request) that the worker has died."""
-        with self.lock:
-            if self.process is not None and self.process.poll() is not None:
-                self._reap()
-
     # -------------------------------------------------------------- #
     # framed I/O with deadline
     # -------------------------------------------------------------- #
-    def _send(self, payload: Mapping[str, object]) -> None:
-        write_frame(self.process.stdin, payload)
-
     def _read_exact(self, count: int, deadline: float) -> bytes:
         descriptor = self.process.stdout.fileno()
         chunks = b""
@@ -496,23 +410,20 @@ class _ShardWorker:
             chunks += chunk
         return chunks
 
-    def _read_frame(self, deadline: float) -> Dict[str, object]:
+    def _read_reply(self, deadline: float) -> Tuple[int, Dict[str, object]]:
         (length,) = struct.unpack(">I", self._read_exact(4, deadline))
         if length > MAX_FRAME_BYTES:
             raise _WorkerDied(f"oversized frame ({length} bytes)")
-        return json.loads(self._read_exact(length, deadline).decode("utf-8"))
+        head, body = _split_frame(self._read_exact(length, deadline))
+        return int(head), json.loads(body.decode("utf-8"))
 
     # -------------------------------------------------------------- #
     # the request path
     # -------------------------------------------------------------- #
-    def request(
-        self,
-        op: str,
-        params: Optional[Mapping[str, object]] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> object:
-        """One RPC round-trip, with restart/timeout/crash handling.
+    def _request(
+        self, method: str, path: str, payload: Optional[Dict[str, object]] = None
+    ) -> Dict[str, object]:
+        """One pipe round trip, with restart/timeout/crash handling.
 
         A death detected *before* the worker received the request is
         retried transparently after a restart (the operation cannot have
@@ -521,15 +432,17 @@ class _ShardWorker:
         unknowable here, and the ``(source, sequence)`` idempotency pair
         exists precisely so the caller's retry is safe either way.
         """
-        frame = {"op": op}
-        if params:
-            frame.update(params)
-        budget = self.request_timeout if timeout is None else float(timeout)
+        head = f"{method} {path}"
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
         with self.lock:
+            if self.closed:
+                raise ConfigurationError(
+                    "ProcessShardedService is closed; reopen it to serve again"
+                )
             for attempt in (1, 2):
                 self._ensure_started()
                 try:
-                    self._send(frame)
+                    write_frame(self.process.stdin, head, body)
                 except (BrokenPipeError, OSError):
                     # The pipe's read end is gone: the worker died before
                     # this request could reach it.  Restart and retry once.
@@ -537,15 +450,17 @@ class _ShardWorker:
                     if attempt == 2:
                         raise ShardUnavailableError(
                             f"shard {self.index} worker died before accepting "
-                            f"{op!r} twice in a row"
+                            f"{head!r} twice in a row"
                         ) from None
                     continue
                 try:
-                    reply = self._read_frame(time.monotonic() + budget)
+                    status, reply = self._read_reply(
+                        time.monotonic() + self.request_timeout
+                    )
                 except _WorkerDied:
                     self._reap()
                     raise ShardUnavailableError(
-                        f"shard {self.index} worker died while handling {op!r}; "
+                        f"shard {self.index} worker died while handling {head!r}; "
                         "it will be restarted and recovered from its WAL on "
                         "the next request (retrying with the same "
                         "source/sequence is safe)"
@@ -553,27 +468,25 @@ class _ShardWorker:
                 except _WorkerTimeout:
                     self._kill()
                     raise ShardUnavailableError(
-                        f"shard {self.index} worker exceeded the {budget:.1f}s "
-                        f"request deadline on {op!r} and was killed; it will "
-                        "be restarted on the next request"
+                        f"shard {self.index} worker exceeded the "
+                        f"{self.request_timeout:.1f}s request deadline on "
+                        f"{head!r} and was killed; it will be restarted on "
+                        "the next request"
                     ) from None
                 break
-        if reply.get("ok"):
-            return reply.get("result")
-        raise error_from_kind(
-            int(reply.get("status", 500)),
-            str(reply.get("error", "worker error")),
-            str(reply.get("kind", "internal")),
-        )
+        if status >= 400:
+            raise _reply_error(status, reply)
+        return reply
 
     def close(self, timeout: float = 5.0) -> None:
-        """Drain this worker: polite shutdown, then terminate, then kill."""
+        """Drain this worker: EOF on its stdin, then terminate, then kill."""
         with self.lock:
+            self.closed = True
             if self.process is None:
                 return
             if self.process.poll() is None:
                 try:
-                    self._send({"op": "shutdown"})
+                    self.process.stdin.close()
                 except Exception:
                     pass
                 try:
@@ -590,14 +503,16 @@ class _ShardWorker:
 # --------------------------------------------------------------------- #
 # the parent façade
 # --------------------------------------------------------------------- #
-class ProcessShardedService:
-    """The :class:`ShardedEstimationService` façade over worker processes.
+class ProcessShardedService(ShardedEstimationService):
+    """The :class:`ShardedEstimationService` router over worker processes.
 
     Same routing (sha256 :func:`~repro.streaming.serving.shard_index`),
     same on-disk layout (``<root>/shard-<i>/`` + ``shards.json``), same
     manifest rules — a root written by the in-process sharded service
     reopens under workers and vice versa.  What changes is *where* each
     shard runs: in its own interpreter, which exclusively owns its store.
+    Every façade method is the inherited router's; this class only
+    supplies the worker shards, :meth:`worker_pids` and :meth:`close`.
 
     Parameters
     ----------
@@ -619,12 +534,14 @@ class ProcessShardedService:
     Use as a context manager (or call :meth:`close`) so workers drain
     instead of being orphaned.
 
-    Divergences from the in-process façade, all forced by the process
-    boundary: :meth:`snapshot` / :meth:`compact` return a confirmation
-    mapping instead of the :class:`SessionSnapshot` object;
+    Each shard is a :class:`~repro.serving.http.SessionClient`, so the
+    process boundary brings the client's divergences from the in-process
+    façade: :meth:`snapshot` / :meth:`compact` return a confirmation
+    mapping instead of the :class:`SessionSnapshot` object,
     :meth:`restore` only restores from the shard's own store (a foreign
     snapshot object cannot cross the pipe — save it into the store
-    first); ``estimators`` must be registry names, not estimator
+    first), :meth:`collusion_report` returns the report's payload
+    mapping, and ``estimators`` must be registry names, not estimator
     objects.
     """
 
@@ -640,10 +557,11 @@ class ProcessShardedService:
         boot_timeout: float = DEFAULT_BOOT_TIMEOUT,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
     ) -> None:
+        # The router's state, with worker handles as the shards (the base
+        # constructor would build in-process EstimationService shards).
         self.root = Path(root)
         self._num_shards = reconcile_shard_manifest(self.root, num_shards)
-        self._closed = False
-        self._workers: Tuple[_ShardWorker, ...] = tuple(
+        self._shards: Tuple[_ShardWorker, ...] = tuple(
             _ShardWorker(
                 index,
                 self.root / f"shard-{index:04d}",
@@ -660,210 +578,23 @@ class ProcessShardedService:
         # by another owner, a corrupt store) surface here, not on the
         # first unlucky request.
         try:
-            for worker in self._workers:
+            for worker in self._shards:
                 with worker.lock:
                     worker._ensure_started()
         except Exception:
             self.close()
             raise
 
-    # -------------------------------------------------------------- #
-    # topology
-    # -------------------------------------------------------------- #
-    @property
-    def num_shards(self) -> int:
-        """The shard (= worker) count recorded for this root."""
-        return self._num_shards
-
-    @property
-    def wal_enabled(self) -> bool:
-        """Always true: worker shards require the write-ahead log."""
-        return True
-
-    def shard_of(self, name: str) -> int:
-        """The shard index owning session ``name``."""
-        return shard_index(name, self._num_shards)
-
     def worker_pids(self) -> List[Optional[int]]:
         """Current worker PIDs by shard index (``None`` for a dead one)."""
         return [
             worker.process.pid if worker._alive() else None
-            for worker in self._workers
+            for worker in self._shards
         ]
 
-    def _worker(self, name: str) -> _ShardWorker:
-        if self._closed:
-            raise ConfigurationError(
-                "ProcessShardedService is closed; reopen it to serve again"
-            )
-        return self._workers[self.shard_of(name)]
-
-    # -------------------------------------------------------------- #
-    # the EstimationService façade, routed by session-name hash
-    # -------------------------------------------------------------- #
-    def create_session(
-        self,
-        name: str,
-        item_ids: Sequence[int],
-        estimators: Optional[Sequence[str]] = None,
-        *,
-        keep_votes: bool = True,
-    ) -> str:
-        """Create the session on its owning shard worker; returns the name."""
-        self._worker(name).request(
-            "create_session",
-            {
-                "name": name,
-                "item_ids": [int(item) for item in item_ids],
-                "estimators": self._estimator_names(estimators),
-                "keep_votes": bool(keep_votes),
-            },
-        )
-        return name
-
-    def ingest(
-        self,
-        name: str,
-        columns: Sequence[Mapping[int, int]],
-        *,
-        worker_ids: Optional[Sequence[Optional[int]]] = None,
-        source: Optional[str] = None,
-        sequence: Optional[int] = None,
-    ) -> IngestResult:
-        """Ingest into the owning shard worker (same contract, same wire
-        shape as the HTTP batch endpoint)."""
-        if worker_ids is not None and len(worker_ids) != len(columns):
-            raise ValidationError(
-                f"worker_ids length {len(worker_ids)} does not match "
-                f"{len(columns)} column(s)"
-            )
-        wire_columns: List[Dict[str, object]] = []
-        for index, votes in enumerate(columns):
-            entry: Dict[str, object] = {
-                "votes": {str(item): int(vote) for item, vote in votes.items()}
-            }
-            if worker_ids is not None and worker_ids[index] is not None:
-                entry["worker"] = int(worker_ids[index])
-            wire_columns.append(entry)
-        body = self._worker(name).request(
-            "ingest",
-            {
-                "name": name,
-                "columns": wire_columns,
-                "source": source,
-                "sequence": None if sequence is None else int(sequence),
-            },
-        )
-        return IngestResult(
-            session=str(body["session"]),
-            applied=int(body["applied"]),
-            duplicate=bool(body["duplicate"]),
-            num_columns=int(body["num_columns"]),
-            total_votes=int(body["total_votes"]),
-        )
-
-    def estimates(self, name: str) -> Dict[str, EstimateResult]:
-        """Current (cached) estimates from the owning shard worker."""
-        return self.estimate_report(name).results
-
-    def estimate_report(self, name: str) -> EstimateReport:
-        """Versioned estimate read from the owning shard worker."""
-        return report_from_payload(
-            self._worker(name).request("estimate_report", {"name": name})
-        )
-
-    def progress(self, name: str) -> Dict[str, float]:
-        """The named session's stream-progress summary."""
-        payload = self._worker(name).request("progress", {"name": name})
-        return {str(key): float(value) for key, value in payload.items()}
-
-    def snapshot(self, name: str) -> Dict[str, object]:
-        """Snapshot (compact) the session on its shard; returns a receipt."""
-        return self._worker(name).request("snapshot", {"name": name})
-
-    def compact(self, name: str) -> Dict[str, object]:
-        """Fold the session's log into a snapshot on its shard worker."""
-        return self._worker(name).request("compact", {"name": name})
-
-    def restore(
-        self,
-        name: str,
-        snapshot: Optional[SessionSnapshot] = None,
-        estimators: Optional[Sequence[str]] = None,
-    ) -> Dict[str, float]:
-        """Re-activate ``name`` from its shard's store (store copies only)."""
-        if snapshot is not None:
-            raise ValidationError(
-                "ProcessShardedService.restore only restores from the shard's "
-                "own store; save the snapshot into the store first"
-            )
-        payload = self._worker(name).request(
-            "restore",
-            {"name": name, "estimators": self._estimator_names(estimators)},
-        )
-        return {str(key): float(value) for key, value in payload.items()}
-
-    def drop(self, name: str) -> None:
-        """Forget the session on its owning shard worker."""
-        self._worker(name).request("drop", {"name": name})
-
-    def evict(self, name: Optional[str] = None) -> Optional[str]:
-        """Park a live session; ``None`` asks each shard for its LRU victim."""
-        if name is not None:
-            return self._worker(name).request("evict", {"name": name})["evicted"]
-        for worker in self._workers:
-            victim = worker.request("evict", {"name": None})["evicted"]
-            if victim is not None:
-                return victim
-        return None
-
-    def sessions(self) -> List[str]:
-        """Every known session name across all shard workers, sorted."""
-        names: List[str] = []
-        for worker in self._workers:
-            names.extend(worker.request("sessions")["sessions"])
-        return sorted(set(names))
-
-    def active_sessions(self) -> List[str]:
-        """Live in-memory session names across shard workers (shard order)."""
-        names: List[str] = []
-        for worker in self._workers:
-            names.extend(worker.request("active_sessions")["sessions"])
-        return names
-
-    # -------------------------------------------------------------- #
-    # aggregated serving counters (live workers only: a restarted
-    # worker restarts its in-memory counters, like any process would)
-    # -------------------------------------------------------------- #
-    def _stat(self, counter: str) -> int:
-        total = 0
-        for worker in self._workers:
-            total += int(worker.request("stats")[counter])
-        return total
-
-    @property
-    def estimates_served(self) -> int:
-        return self._stat("estimates_served")
-
-    @property
-    def estimate_cache_hits(self) -> int:
-        return self._stat("estimate_cache_hits")
-
-    @property
-    def sessions_restored(self) -> int:
-        return self._stat("sessions_restored")
-
-    @property
-    def sessions_evicted(self) -> int:
-        return self._stat("sessions_evicted")
-
-    # -------------------------------------------------------------- #
-    # lifecycle
-    # -------------------------------------------------------------- #
     def close(self, timeout: float = 5.0) -> None:
-        """Drain every worker (shutdown → terminate → kill).  Idempotent."""
-        self._closed = True
-        for worker in self._workers:
+        """Drain every worker (EOF → terminate → kill).  Idempotent."""
+        for worker in self._shards:
             worker.close(timeout)
 
     def __enter__(self) -> "ProcessShardedService":
@@ -871,28 +602,3 @@ class ProcessShardedService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @staticmethod
-    def _estimator_names(
-        estimators: Optional[Sequence[object]],
-    ) -> Optional[List[str]]:
-        if estimators is None:
-            return None
-        names = []
-        for estimator in estimators:
-            if not isinstance(estimator, str):
-                raise ValidationError(
-                    "process-sharded services accept estimator registry "
-                    f"names only (got {type(estimator).__name__}); estimator "
-                    "objects cannot cross the worker process boundary"
-                )
-            names.append(estimator)
-        return names
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (
-            f"ProcessShardedService(num_shards={self._num_shards}, "
-            f"root={str(self.root)!r}, closed={self._closed})"
-        )
-
-

@@ -52,9 +52,21 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.common.labels import CLEAN, DIRTY
@@ -86,6 +98,11 @@ class ShardUnavailableError(ConfigurationError):
     pair, is always safe.  Maps to HTTP 500 with kind
     ``"shard_unavailable"``.
     """
+
+
+def _unknown_session(name: str, available: List[str]) -> UnknownSessionError:
+    """The error every topology raises for an unknown session name."""
+    return UnknownSessionError(f"unknown session {name!r}; available: {available}")
 
 
 def replay_batch_record(
@@ -350,9 +367,7 @@ class EstimationService:
             if handle is not None or stored:
                 self._dropped.add(name)
                 return
-        raise UnknownSessionError(
-            f"unknown session {name!r}; available: {self.sessions()}"
-        )
+        raise _unknown_session(name, self.sessions())
 
     # ------------------------------------------------------------------ #
     # ingestion and estimation
@@ -575,7 +590,10 @@ class EstimationService:
         """
         check_session_name(name)
         if snapshot is None:
-            session, sources = self._recover_session(name, estimators)
+            try:
+                session, sources = self._recover_session(name, estimators)
+            except UnknownSessionError:
+                raise _unknown_session(name, self.sessions()) from None
         else:
             session = StreamingSession.from_snapshot(snapshot, estimators)
             sources = self._serving_sources(snapshot)
@@ -702,14 +720,10 @@ class EstimationService:
         try:
             session, sources = self._recover_session(name)
         except UnknownSessionError:
-            raise UnknownSessionError(
-                f"unknown session {name!r}; available: {self.sessions()}"
-            ) from None
+            raise _unknown_session(name, self.sessions()) from None
         with self._lock:
             if name in self._dropped:
-                raise UnknownSessionError(
-                    f"unknown session {name!r}; available: {self.sessions()}"
-                )
+                raise _unknown_session(name, self.sessions())
             existing = self._active.get(name)
             if existing is not None:  # someone else revived it first
                 self._active.move_to_end(name)
@@ -861,9 +875,11 @@ class ShardedEstimationService:
     Each shard is a full :class:`EstimationService` over its own store;
     a session lives on exactly one shard, chosen by a stable hash of its
     name (:func:`shard_index`).  The façade is the same as a single
-    service — ``N=1`` **is** exactly today's service, shard 0 — which
-    makes the split shard-ready: moving a shard to its own process (or
-    machine) changes where the shard runs, not what callers see.
+    service — ``N=1`` **is** exactly today's service, shard 0 — and this
+    class is the one router for every sharded topology: a shard only
+    needs the service surface, so
+    :class:`~repro.serving.workers.ProcessShardedService` reuses the
+    router unchanged over shard handles that live in worker processes.
 
     Parameters
     ----------
@@ -941,8 +957,17 @@ class ShardedEstimationService:
         """True when every shard ingests through a write-ahead log."""
         return all(shard.wal_enabled for shard in self._shards)
 
-    def _shard(self, name: str) -> EstimationService:
-        return self._shards[self.shard_of(name)]
+    @contextmanager
+    def _owner(self, name: str) -> Iterator[EstimationService]:
+        """The shard owning ``name``.
+
+        An unknown-session error from it is re-raised listing every
+        shard's sessions, so the error reads the same in every topology.
+        """
+        try:
+            yield self._shards[self.shard_of(name)]
+        except UnknownSessionError:
+            raise _unknown_session(name, self.sessions()) from None
 
     # ------------------------------------------------------------------ #
     # the EstimationService façade, routed by session-name hash
@@ -956,9 +981,10 @@ class ShardedEstimationService:
         keep_votes: bool = True,
     ) -> str:
         """Create the session on its owning shard; returns the name."""
-        return self._shard(name).create_session(
-            name, item_ids, estimators, keep_votes=keep_votes
-        )
+        with self._owner(name) as shard:
+            return shard.create_session(
+                name, item_ids, estimators, keep_votes=keep_votes
+            )
 
     def ingest(
         self,
@@ -970,37 +996,44 @@ class ShardedEstimationService:
         sequence: Optional[int] = None,
     ) -> IngestResult:
         """Ingest into the owning shard (same contract as one service)."""
-        return self._shard(name).ingest(
-            name, columns, worker_ids=worker_ids, source=source, sequence=sequence
-        )
+        with self._owner(name) as shard:
+            return shard.ingest(
+                name, columns, worker_ids=worker_ids, source=source, sequence=sequence
+            )
 
     def estimates(self, name: str) -> Dict[str, EstimateResult]:
         """Current (cached) estimates from the owning shard."""
-        return self._shard(name).estimates(name)
+        with self._owner(name) as shard:
+            return shard.estimates(name)
 
     def estimate_report(self, name: str) -> EstimateReport:
         """Versioned estimate read from the owning shard."""
-        return self._shard(name).estimate_report(name)
+        with self._owner(name) as shard:
+            return shard.estimate_report(name)
 
     def progress(self, name: str) -> Dict[str, float]:
         """The named session's stream-progress summary."""
-        return self._shard(name).progress(name)
+        with self._owner(name) as shard:
+            return shard.progress(name)
 
     def collusion_report(
         self, name: str, *, threshold: float = 0.9, min_overlap: int = 5
     ):
         """Collusion diagnostics from the owning shard."""
-        return self._shard(name).collusion_report(
-            name, threshold=threshold, min_overlap=min_overlap
-        )
+        with self._owner(name) as shard:
+            return shard.collusion_report(
+                name, threshold=threshold, min_overlap=min_overlap
+            )
 
     def snapshot(self, name: str) -> SessionSnapshot:
         """Snapshot (compact) the session on its owning shard."""
-        return self._shard(name).snapshot(name)
+        with self._owner(name) as shard:
+            return shard.snapshot(name)
 
     def compact(self, name: str) -> SessionSnapshot:
         """Fold the session's log into a fresh snapshot on its shard."""
-        return self._shard(name).compact(name)
+        with self._owner(name) as shard:
+            return shard.compact(name)
 
     def restore(
         self,
@@ -1009,21 +1042,18 @@ class ShardedEstimationService:
         estimators: Optional[Sequence[Union[str, EstimatorProtocol]]] = None,
     ) -> Dict[str, float]:
         """Restore on the owning shard (hash routing keeps imports findable)."""
-        return self._shard(name).restore(name, snapshot, estimators)
+        with self._owner(name) as shard:
+            return shard.restore(name, snapshot, estimators)
 
     def drop(self, name: str) -> None:
         """Forget the session on its owning shard."""
-        self._shard(name).drop(name)
+        with self._owner(name) as shard:
+            shard.drop(name)
 
-    def evict(self, name: Optional[str] = None) -> Optional[str]:
-        """Park a live session; ``None`` picks the first shard's LRU victim."""
-        if name is not None:
-            return self._shard(name).evict(name)
-        for shard in self._shards:
-            victim = shard.evict()
-            if victim is not None:
-                return victim
-        return None
+    def evict(self, name: str) -> str:
+        """Park the live session ``name`` on its owning shard."""
+        with self._owner(name) as shard:
+            return shard.evict(name)
 
     def sessions(self) -> List[str]:
         """Every known session name across all shards, sorted."""
@@ -1057,6 +1087,6 @@ class ShardedEstimationService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
-            f"ShardedEstimationService(num_shards={self._num_shards}, "
+            f"{type(self).__name__}(num_shards={self._num_shards}, "
             f"root={str(self.root) if self.root else None!r})"
         )

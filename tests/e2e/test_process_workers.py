@@ -86,7 +86,7 @@ def wait_for_death(service, shard: int) -> None:
     restart).  Tests that want the deterministic pre-send path wait the
     race out here.
     """
-    worker = service._workers[shard]
+    worker = service.shards[shard]
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline:
         process = worker.process
@@ -170,19 +170,22 @@ class TestCrashRecovery:
         with ProcessShardedService(tmp_path / "killed", num_shards=1) as service:
             service.create_session(SESSION, ITEMS, ESTIMATORS)
             drive(service, 5)
-            worker = service._workers[service.shard_of(SESSION)]
+            pid = owning_pid(service)
             failures = []
 
-            def wedge():
+            def in_flight():
                 try:
-                    worker.request("debug_sleep", {"seconds": 30})
+                    service.ingest(SESSION, batch(5), source="loader", sequence=5)
                 except ShardUnavailableError as error:
                     failures.append(error)
 
-            thread = threading.Thread(target=wedge)
+            # A stopped worker accepts the request into its pipe but never
+            # answers it, so the kill below lands mid-request.
+            os.kill(pid, signal.SIGSTOP)
+            thread = threading.Thread(target=in_flight)
             thread.start()
             time.sleep(0.3)  # let the request reach the worker
-            os.kill(owning_pid(service), signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             thread.join(timeout=10)
             assert not thread.is_alive()
             assert failures, "a mid-request death must surface, not hang"
@@ -220,14 +223,16 @@ class TestCrashRecovery:
 
 class TestTimeouts:
     def test_wedged_worker_is_killed_and_recovers(self, tmp_path):
-        with ProcessShardedService(tmp_path / "root", num_shards=1) as service:
+        with ProcessShardedService(
+            tmp_path / "root", num_shards=1, request_timeout=2.0
+        ) as service:
             service.create_session(SESSION, ITEMS, ESTIMATORS)
             drive(service, 3)
-            worker = service._workers[0]
             pid = owning_pid(service)
+            os.kill(pid, signal.SIGSTOP)  # wedged: alive, but never answers
             started = time.monotonic()
             with pytest.raises(ShardUnavailableError, match="deadline"):
-                worker.request("debug_sleep", {"seconds": 30}, timeout=0.5)
+                service.progress(SESSION)
             assert time.monotonic() - started < 10
             # The wedged process was killed; the next request restarts a
             # fresh worker that recovered the shard from its WAL.

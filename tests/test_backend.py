@@ -54,7 +54,7 @@ def _random_matrix(num_items, num_columns, seed=11):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"numpy", "numba", "cupy", "torch"} <= set(registered_backends())
+        assert {"numpy", "numba"} <= set(registered_backends())
 
     def test_numpy_always_available_and_default(self):
         assert "numpy" in available_backends()
