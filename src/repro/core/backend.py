@@ -1,15 +1,15 @@
 """The array-namespace seam behind the ``(R, N, K)`` tensor kernels.
 
 The cross-permutation sweep engine (:class:`~repro.core.state.PermutationBatch`
-and the :class:`~repro.core.switch._SwitchScan` it drives) is, at heart, a
-short list of bulk array operations: cumulative sums over the vote tensor,
-segment sums into checkpoint count tables, compaction of the seen-vote
-stream, ``bincount`` folds of per-vote majority deltas, sorted-run /
-``searchsorted`` lookups over event arrays.  Welding those calls to
-``np.*`` caps the engine at whatever NumPy achieves on one CPU.
-
-This module puts the ~15 operations the hot path actually uses behind a
-minimal :class:`ArrayBackend` seam so the same kernel code runs on:
+and the :class:`~repro.core.switch._SwitchScan` it drives) runs its bulk
+array work — the count-table product, the seen-count table and the
+seen-vote compaction — in host NumPy.  What still varies per backend is
+narrow: the ``bincount`` fold of per-vote majority deltas into majority
+histories, and whether the two sequential scan passes run as the
+vectorised NumPy formulation or as compiled loops.  This module keeps
+exactly that behind a minimal :class:`ArrayBackend` seam (``asarray``,
+``asnumpy``, ``bincount`` and one capability flag), so the same kernel
+code runs on:
 
 * **numpy** — the always-available reference backend (bit-identity is
   defined against it);
@@ -19,11 +19,11 @@ minimal :class:`ArrayBackend` seam so the same kernel code runs on:
   :mod:`repro.core._scan_kernels`); registers only when Numba imports.
 
 **Bit-identity is the contract**: every operation a backend implements is
-integer-exact (cumulative counts, scatter adds, sorted lookups), so a
-backend either reproduces the NumPy reference bit-for-bit or it is a bug.
-The parity suite (``tests/test_backend_parity.py``) pins this per
-registered backend, and ``repro bench`` refuses to record an entry for a
-backend whose estimates differ from the reference.
+integer-exact, so a backend either reproduces the NumPy reference
+bit-for-bit or it is a bug.  The parity suite
+(``tests/test_backend_parity.py``) pins this per registered backend, and
+``repro bench`` refuses to record an entry for a backend whose estimates
+differ from the reference.
 
 Selection
 ---------
@@ -38,7 +38,7 @@ backends usable on this machine.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -87,64 +87,9 @@ class ArrayBackend:
         """The escape hatch: a host ``np.ndarray`` view/copy of ``values``."""
         raise NotImplementedError
 
-    def zeros(self, shape, dtype):
-        raise NotImplementedError
-
-    def full(self, shape, fill_value, dtype):
-        raise NotImplementedError
-
-    def arange(self, stop, dtype):
-        raise NotImplementedError
-
-    def astype(self, values, dtype):
-        """Cast, copying only when the dtype actually changes."""
-        raise NotImplementedError
-
-    # -- the hot-path reductions and scans ------------------------------ #
-    def cumsum(self, values, axis=None, dtype=None):
-        """Cumulative sum (the segmented-margin / ``seen_cum`` workhorse)."""
-        raise NotImplementedError
-
-    def sum(self, values, axis=None, dtype=None):
-        """Reduction behind the ``(R, m, N)`` checkpoint count tables."""
-        raise NotImplementedError
-
-    def maximum_accumulate(self, values):
-        """Running maximum along the last axis (row-base propagation)."""
-        raise NotImplementedError
-
-    def where(self, condition, a, b):
-        raise NotImplementedError
-
-    def nonzero(self, values) -> Tuple:
-        """Row-major coordinates of the nonzero entries (seen-vote compaction)."""
-        raise NotImplementedError
-
+    # -- the majority-history fold --------------------------------------- #
     def bincount(self, values, weights=None, minlength=0):
         """The majority-history fold (scatter-add of per-vote deltas)."""
-        raise NotImplementedError
-
-    def segment_sum(self, values, segments, num_segments):
-        """``add.at``-style scatter: sum ``values`` into ``num_segments`` bins.
-
-        The generalised scatter op of the seam; ``bincount`` is its
-        weights form, kept separate because libraries optimise them
-        differently.
-        """
-        raise NotImplementedError
-
-    def searchsorted(self, sorted_values, queries, side="left"):
-        raise NotImplementedError
-
-    def argsort_stable(self, values):
-        """Stable ascending argsort (event reordering must preserve ties)."""
-        raise NotImplementedError
-
-    def sort(self, values):
-        raise NotImplementedError
-
-    def ascontiguous(self, values):
-        """C-contiguous layout (the stacked tensor feeds axis-1 cumsums)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
@@ -164,59 +109,15 @@ class NumpyBackend(ArrayBackend):
     def asnumpy(self, values) -> np.ndarray:
         return np.asarray(values)
 
-    def zeros(self, shape, dtype):
-        return np.zeros(shape, dtype=dtype)
-
-    def full(self, shape, fill_value, dtype):
-        return np.full(shape, fill_value, dtype=dtype)
-
-    def arange(self, stop, dtype):
-        return np.arange(stop, dtype=dtype)
-
-    def astype(self, values, dtype):
-        return values.astype(dtype, copy=False)
-
-    def cumsum(self, values, axis=None, dtype=None):
-        return np.cumsum(values, axis=axis, dtype=dtype)
-
-    def sum(self, values, axis=None, dtype=None):
-        return values.sum(axis=axis, dtype=dtype)
-
-    def maximum_accumulate(self, values):
-        return np.maximum.accumulate(values)
-
-    def where(self, condition, a, b):
-        return np.where(condition, a, b)
-
-    def nonzero(self, values):
-        return np.nonzero(values)
-
     def bincount(self, values, weights=None, minlength=0):
         return np.bincount(values, weights=weights, minlength=minlength)
-
-    def segment_sum(self, values, segments, num_segments):
-        out = np.zeros(num_segments, dtype=values.dtype)
-        np.add.at(out, segments, values)
-        return out
-
-    def searchsorted(self, sorted_values, queries, side="left"):
-        return np.searchsorted(sorted_values, queries, side=side)
-
-    def argsort_stable(self, values):
-        return np.argsort(values, kind="stable")
-
-    def sort(self, values):
-        return np.sort(values)
-
-    def ascontiguous(self, values):
-        return np.ascontiguousarray(values)
 
 
 class NumbaBackend(NumpyBackend):
     """NumPy arrays + Numba-compiled fused scan loops.
 
-    Array storage and every bulk vectorised op are inherited unchanged
-    from the reference backend; what changes is that the two remaining
+    Array storage and the ``bincount`` fold are inherited unchanged from
+    the reference backend; what changes is that the two remaining
     sequential scan passes — event compaction and the per-checkpoint
     sweep-cell walk — run as ``@njit`` loops
     (:mod:`repro.core._scan_kernels`) instead of chains of vectorised

@@ -21,11 +21,10 @@ directly.  Three implementations cover every access pattern:
   once, backed by a single set of incremental checkpoint tables and one
   switch scan **shared across checkpoints and across estimators**;
 * :class:`PermutationBatch` — all checkpoint prefixes of **all column
-  permutations** at once: the permuted matrices are stacked into one
-  ``(R, N, K)`` tensor, the count tables become one ``(R, m, N)`` pass
-  and the ``R`` switch scans collapse into a single scan of the
-  ``(R * N, K)`` reshaped stack (the engine of the permutation-averaged
-  experiment runner);
+  permutations** at once: the ``(R, m, N)`` count tables come from one
+  matrix product on the unpermuted matrix and the ``R`` switch scans
+  collapse into a single scan of the ``(R * N, K)`` stack of permuted
+  matrices (the engine of the permutation-averaged experiment runner);
 * :class:`StreamingState` — a live state fed one worker response at a
   time, maintained with O(items touched) work per update (the engine of
   :class:`repro.streaming.StreamingSession`).
@@ -55,7 +54,7 @@ from repro.common.buffers import AppendArray
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY
 from repro.common.validation import check_int
-from repro.core.backend import ArrayBackend, NumpyBackend, resolve_backend
+from repro.core.backend import ArrayBackend, resolve_backend
 from repro.core.fstatistics import (
     Fingerprint,
     IncrementalFingerprint,
@@ -127,6 +126,17 @@ class EstimationState(Protocol):
         ``ValidationError`` in every implementation.
         """
         ...
+
+
+def _count_product_dtype(num_columns: int) -> type:
+    """Float dtype of the count-table product (every count is at most K).
+
+    float32 represents every integer below ``2**24`` exactly, so the
+    products and partial sums stay exact in any summation order; promote
+    to float64 once the column count reaches ``2**24`` (pinned at the
+    boundary by ``tests/test_backend.py``).
+    """
+    return np.float32 if num_columns < 2**24 else np.float64
 
 
 def _resolve_lookback(lookback: int, num_columns: int) -> int:
@@ -298,13 +308,14 @@ class PermutationBatch:
     permutations of the *same* collected matrix.  Evaluating them one at a
     time repeats identical work ``R`` times: each permutation re-derives
     its checkpoint count tables, re-scans the matrix for switches and
-    re-builds Python fingerprints.  This class restructures the data
-    layout instead: the permuted matrices are stacked into one
-    ``(R, N, K)`` tensor, the checkpoint count tables become one
-    ``(R, m, N)`` pass, and — because the switch scan treats rows
-    independently — all ``R`` switch scans collapse into a **single**
-    :class:`~repro.core.switch._SwitchScan` over the ``(R * N, K)``
-    reshaped stack.
+    re-builds Python fingerprints.  This class shares that work instead:
+    the ``(R, m, N)`` checkpoint count tables of every permutation come
+    from one float matrix product on the *unpermuted* matrix (a column's
+    rank in each order selects which prefixes it counts towards), and —
+    because the switch scan treats rows independently — all ``R`` switch
+    scans collapse into a **single**
+    :class:`~repro.core.switch._SwitchScan` over the ``(R * N, K)`` stack
+    of permuted matrices.
 
     Consumers come in two flavours:
 
@@ -386,58 +397,41 @@ class PermutationBatch:
     # pays for the switch scan, and vice versa)
     # ------------------------------------------------------------------ #
     @cached_property
-    def _stacked(self) -> np.ndarray:
-        """(R, N, K) int8 — every permuted matrix, stacked (host copy)."""
-        gathered = self.matrix.values[:, self._orders]  # (N, R, K)
-        return np.ascontiguousarray(gathered.transpose(1, 0, 2))
+    def _count_tables(self) -> np.ndarray:
+        """(2, R, m, N) int32 — DIRTY then CLEAN vote counts of every cell.
 
-    @cached_property
-    def _stacked_device(self):
-        """The stacked tensor on the batch's backend (host array = itself)."""
-        if isinstance(self.backend, NumpyBackend):
-            return self._stacked
-        return self.backend.asarray(self._stacked)
-
-    def _label_table(self, label: int) -> np.ndarray:
-        """(R, m, N) per-item counts of ``label`` votes at each checkpoint.
-
-        The same incremental segment-sum scheme as
-        :meth:`ResponseMatrix._label_counts_at`, run once over the whole
-        stack: one pass over ``R x N x K`` covers every permutation and
-        every checkpoint.  The pass runs on the batch's backend; the
-        finished tables come back to host NumPy (integer counts — exact
-        on every backend).
+        One float matrix product on the *unpermuted* matrix covers every
+        permutation and every checkpoint.  The left side stacks the DIRTY
+        and CLEAN masks as ``(2N, K)``; the right side is a ``(K, R * m)``
+        0/1 selection whose entry ``[c, r * m + j]`` is 1 when column
+        ``c``'s rank in order ``r`` is below ``resolved[j]``.  Every count
+        is an integer of at most ``K``, which the product dtype holds
+        exactly (see :func:`_count_product_dtype`), so the tables equal
+        the per-permutation counts bit for bit.
         """
-        resolved = self.resolved
-        if not resolved:
-            return np.zeros((self.num_permutations, 0, self.num_items), dtype=np.int32)
-        xp = self.backend
-        mask = self._stacked_device == label
-        # int32 halves the table's memory traffic; counts are bounded by
-        # the column count, far below the int32 range.
-        running = xp.zeros((self.num_permutations, self.num_items), np.int32)
-        table: Dict[int, np.ndarray] = {}
-        previous = 0
-        for checkpoint in sorted(set(resolved)):
-            if checkpoint > previous:
-                running = running + xp.sum(
-                    mask[:, :, previous:checkpoint], axis=2, dtype=np.int32
-                )
-            table[checkpoint] = running
-            previous = checkpoint
-        return np.stack(
-            [xp.asnumpy(table[checkpoint]) for checkpoint in resolved], axis=1
+        values = self.matrix.values
+        num_columns = self.matrix.num_columns
+        dtype = _count_product_dtype(num_columns)
+        # Inverse permutations: ranks[r, c] is column c's position in order r.
+        ranks = np.argsort(self._orders, axis=1)
+        resolved = np.asarray(self.resolved, dtype=np.intp)
+        cells = self.num_permutations * self.num_checkpoints
+        selection = (ranks.T[:, :, None] < resolved).reshape(num_columns, cells)
+        masks = np.concatenate([values == DIRTY, values == CLEAN]).astype(dtype)
+        counts = (masks @ selection.astype(dtype)).reshape(
+            2, self.num_items, self.num_permutations, self.num_checkpoints
         )
+        return np.ascontiguousarray(counts.transpose(0, 2, 3, 1), dtype=np.int32)
 
     @cached_property
     def positive_table(self) -> np.ndarray:
         """``n_i^+`` as an ``(R, m, N)`` table (permutation x checkpoint x item)."""
-        return self._label_table(DIRTY)
+        return self._count_tables[0]
 
     @cached_property
     def negative_table(self) -> np.ndarray:
         """``n_i^-`` as an ``(R, m, N)`` table."""
-        return self._label_table(CLEAN)
+        return self._count_tables[1]
 
     @cached_property
     def nominal_counts(self) -> np.ndarray:
@@ -451,11 +445,19 @@ class PermutationBatch:
 
     @cached_property
     def _scan(self) -> _SwitchScan:
-        """One switch scan over all permutations (rows are independent)."""
-        flat = self._stacked.reshape(
-            self.num_permutations * self.num_items, self.matrix.num_columns
+        """One switch scan over all permutations (rows are independent).
+
+        The ``(R * N, K)`` stack of permuted matrices is gathered
+        column-major — row ``k`` of the ``(K, R, N)`` gather holds column
+        ``k`` of every permutation — which is one contiguous row gather of
+        the transposed matrix and the layout the scan's seen-count pass
+        reads; the scan makes its own row-major copy for the compaction.
+        """
+        by_column = np.ascontiguousarray(self.matrix.values.T)[self._orders.T]
+        rows = self.num_permutations * self.num_items
+        return _SwitchScan(
+            by_column.reshape(self.matrix.num_columns, rows).T, backend=self.backend
         )
-        return _SwitchScan(flat, backend=self.backend)
 
     @cached_property
     def _event_offsets(self) -> np.ndarray:

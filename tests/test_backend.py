@@ -9,8 +9,9 @@ Four layers, cheapest first:
 * compiled-kernel logic — the :mod:`repro.core._scan_kernels` loops are
   plain Python when Numba is absent, so their logic is pinned here against
   the vectorised formulation without needing Numba installed;
-* dtype audit — the ``seen_cum`` int16/int32 promotion and the margin
-  cumsum int32/int64 promotion, including a real scan past the int16
+* dtype audit — the ``seen_cum`` int16/int32 promotion, the margin
+  cumsum int32/int64 promotion and the count-table product's
+  float32/float64 promotion, including a real scan past the int16
   boundary.
 """
 
@@ -35,7 +36,7 @@ from repro.core.backend import (
 )
 from repro.core.base import batch_estimates
 from repro.core.registry import available_estimators, get_estimator
-from repro.core.state import PermutationBatch
+from repro.core.state import PermutationBatch, _count_product_dtype
 from repro.core.switch import (
     _SwitchScan,
     _margin_cumsum_dtype,
@@ -128,40 +129,6 @@ class TestOpSemantics:
         assert out.tolist() == values.tolist()
         assert out.dtype == values.dtype
 
-    def test_constructors(self, xp):
-        assert xp.asnumpy(xp.zeros((2, 3), np.int32)).tolist() == [[0, 0, 0]] * 2
-        assert xp.asnumpy(xp.full((2,), 7, np.int64)).tolist() == [7, 7]
-        assert xp.asnumpy(xp.arange(5, np.int64)).tolist() == [0, 1, 2, 3, 4]
-
-    def test_astype(self, xp):
-        values = xp.asarray(np.array([1, 0, 3], dtype=np.int8))
-        assert xp.asnumpy(xp.astype(values, np.int32)).dtype == np.int32
-
-    def test_cumsum_with_dtype_and_axis(self, xp):
-        values = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.int8)
-        got = xp.asnumpy(xp.cumsum(xp.asarray(values), axis=1, dtype=np.int32))
-        want = np.cumsum(values, axis=1, dtype=np.int32)
-        assert got.tolist() == want.tolist()
-        assert got.dtype == want.dtype
-
-    def test_sum_with_axis_and_dtype(self, xp):
-        values = np.arange(24, dtype=np.int8).reshape(2, 3, 4)
-        got = xp.asnumpy(xp.sum(xp.asarray(values), axis=2, dtype=np.int32))
-        assert got.tolist() == values.sum(axis=2, dtype=np.int32).tolist()
-
-    def test_maximum_accumulate(self, xp):
-        values = np.array([0, 3, 1, 5, 2], dtype=np.int64)
-        got = xp.asnumpy(xp.maximum_accumulate(xp.asarray(values)))
-        assert got.tolist() == np.maximum.accumulate(values).tolist()
-
-    def test_where_and_nonzero(self, xp):
-        values = np.array([1, 0, 2, 0, 3], dtype=np.int32)
-        device = xp.asarray(values)
-        got = xp.asnumpy(xp.where(device > 0, np.int32(1), np.int32(-1)))
-        assert got.tolist() == [1, -1, 1, -1, 1]
-        (indices,) = xp.nonzero(device)
-        assert xp.asnumpy(indices).tolist() == [0, 2, 4]
-
     def test_bincount_with_weights(self, xp):
         values = np.array([0, 2, 2, 1, 0], dtype=np.int64)
         weights = np.array([1, -1, 1, 1, -1], dtype=np.int8)
@@ -170,37 +137,6 @@ class TestOpSemantics:
         )
         want = np.bincount(values, weights=weights, minlength=5)
         assert np.asarray(got, dtype=np.float64).tolist() == want.tolist()
-
-    def test_segment_sum_matches_add_at(self, xp):
-        values = np.array([5, -2, 3, 1, 4], dtype=np.int64)
-        segments = np.array([0, 2, 2, 1, 0], dtype=np.int64)
-        got = xp.asnumpy(
-            xp.segment_sum(xp.asarray(values), xp.asarray(segments), 4)
-        )
-        want = np.zeros(4, dtype=np.int64)
-        np.add.at(want, segments, values)
-        assert got.tolist() == want.tolist()
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_searchsorted_sides(self, xp, side):
-        haystack = np.array([1, 3, 3, 7], dtype=np.int64)
-        queries = np.array([0, 3, 8], dtype=np.int64)
-        got = xp.asnumpy(
-            xp.searchsorted(xp.asarray(haystack), xp.asarray(queries), side=side)
-        )
-        assert got.tolist() == np.searchsorted(haystack, queries, side=side).tolist()
-
-    def test_argsort_is_stable(self, xp):
-        values = np.array([2, 1, 2, 1, 2], dtype=np.int64)
-        got = xp.asnumpy(xp.argsort_stable(xp.asarray(values)))
-        assert got.tolist() == np.argsort(values, kind="stable").tolist()
-
-    def test_sort_and_ascontiguous(self, xp):
-        values = np.array([3, 1, 2], dtype=np.int64)
-        assert xp.asnumpy(xp.sort(xp.asarray(values))).tolist() == [1, 2, 3]
-        strided = np.arange(12, dtype=np.int32).reshape(3, 4).T
-        out = xp.asnumpy(xp.ascontiguous(xp.asarray(strided)))
-        assert out.tolist() == strided.tolist()
 
 
 class _CompiledScansNumpy(NumpyBackend):
@@ -273,6 +209,16 @@ class TestDtypeAudit:
         assert _seen_count_dtype(boundary - 1) == np.int16
         assert _seen_count_dtype(boundary) == np.int32
         assert _seen_count_dtype(boundary + 1) == np.int32
+
+    def test_count_product_dtype_boundary(self):
+        # float32 holds every integer below 2**24 exactly; a count table
+        # over 2**24 or more columns must run its product in float64.
+        boundary = 2**24
+        assert np.float32(boundary - 1) != np.float32(boundary - 2)
+        assert np.float32(boundary + 1) == np.float32(boundary)
+        assert _count_product_dtype(boundary - 1) == np.float32
+        assert _count_product_dtype(boundary) == np.float64
+        assert _count_product_dtype(boundary + 1) == np.float64
 
     def test_margin_cumsum_dtype_boundary(self):
         boundary = int(np.iinfo(np.int32).max)
